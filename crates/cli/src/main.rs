@@ -1,166 +1,15 @@
 //! `liquid-simd` — command-line driver for the Liquid SIMD toolchain.
 //!
-//! ```text
-//! liquid-simd asm input.s -o program.lsim     assemble to an object file
-//! liquid-simd disasm program.lsim             disassemble an object file
-//! liquid-simd run program.{s,lsim} [FLAGS]    simulate to halt
-//!     --lanes N        SIMD accelerator width (default 8; 0 = scalar only)
-//!     --backend B      execution backend: interp (default) or superblock
-//!                      (pre-lowered straight-line blocks, same cycles)
-//!     --native         no dynamic translation (vector binaries)
-//!     --jit            software-JIT translation (stalls the CPU)
-//!     --report         print cache/translator statistics
-//!     --trace          record dynamic events; print the trace summary
-//!     --trace-out F    also write the event stream (.json → Chrome trace
-//!                      for Perfetto/chrome://tracing, else JSON-lines)
-//! liquid-simd translate program.{s,lsim} [--lanes N]
-//!                      run once and print each translated microcode block
-//! liquid-simd trace program.{s,lsim} [--lanes N] [--out trace.json]
-//!                      traced run; write Chrome trace + print summary
-//! liquid-simd explain program.{s,lsim}|workload [--widths 2,4] [--json]
-//!                      per-region translation verdicts: translated (uops)
-//!                      or aborted with full provenance, at every width
-//!     --interrupt-every N   inject an external interrupt every N cycles
-//!     --all-calls           also attempt plain `bl` (no `bl.v`) calls
-//! liquid-simd profile program.{s,lsim}|workload [--lanes N] [--json]
-//!                      cycle breakdown: phases, spans, hottest call
-//!                      targets, per-entry microcode-cache statistics
-//!     --top N          rows per table (default 10)
-//!     --trace-out F    also write the Chrome trace with nested spans
-//! liquid-simd diff [<A> <B>] [--backend B] [--json] [--out F]
-//!                      explain a performance delta from the cycle ledger.
-//!                      Each side is `<prog|workload>@wN` (simulated now
-//!                      with the ledger on) or a history file (its newest
-//!                      perfhist-v1 record); with no sides, the last two
-//!                      perfhist-v1 records of --history are compared.
-//!                      Prints ranked per-category and per-region
-//!                      attribution with counter deltas as corroborating
-//!                      evidence, plus a narrative line per contributor
-//!     --history F      history file for the no-side form (default
-//!                      bench/history.jsonl)
-//!     --json           emit the `diff-v1` JSON document instead of text
-//!     --out F          write the report to F instead of stdout
-//! liquid-simd tables [--jobs N] [--smoke]
-//!                      regenerate the paper's tables/figures in parallel
-//! liquid-simd bench [--jobs N] [--smoke] [--progress] [--out BENCH_sim.json]
-//!                      benchmark of the simulator: scalar baseline plus
-//!                      liquid cycles at every width per workload, counter
-//!                      telemetry, and the parallel sweep; writes a JSON
-//!                      snapshot AND appends one perfhist-v1 record to the
-//!                      append-only history
-//!     --backend B      run every simulation on this backend; recorded in
-//!                      the snapshot and the perfhist-v1 record
-//!     --ledger         record the cycle ledger at the headline width and
-//!                      embed the compact per-workload snapshot in the
-//!                      perfhist-v1 record (plus `ledger.*` counters)
-//!     --history F      history file (default bench/history.jsonl)
-//!     --no-history     skip the history append
-//!     --serve          load-test the serve daemon instead: N clients × M
-//!                      pipelined requests, run at 1 shard and again at
-//!                      --shards K, hard-failing on any byte difference
-//!                      between the passes or a translation-cache hit
-//!                      rate below 90%; appends perfhist-serve-v1 records
-//!     --clients N      concurrent client connections (default 4)
-//!     --requests N     requests per client (default auto-sized)
-//!     --shards N       shard count of the sharded pass (default 8)
-//!     --measure-recorder   third pass with the flight recorder disabled;
-//!                      prints the wall-clock overhead delta and records
-//!                      it in the BENCH_sim.json `notes` field
-//!     --families       benchmark the generated kernel families instead of
-//!                      the fixed suite: every corpus variant at every
-//!                      width, summarised per family as a speedup
-//!                      distribution (p10/p50/p90) with abort-reason
-//!                      tallies and width anomalies; the snapshot has no
-//!                      wall-clock fields, so two runs are byte-identical,
-//!                      and one perfhist-gen-v1 record goes to the history
-//!                      (--smoke keeps variants with trip <= 64, unroll <= 2)
-//! liquid-simd gen [--list|--expand|--emit VARIANT|--check]
-//!                      the declarative kernel-generator corpus
-//!                      (bench/families/*.kernel, kernel-v1 format)
-//!     --list           one variant name per line (the default)
-//!     --expand         the deterministic expansion manifest: name, family,
-//!                      trip, unroll, data seed, payload kind per line —
-//!                      byte-identical across runs and hosts, CI `cmp`s two
-//!     --emit VARIANT   print the variant's program: scalarized+outlined
-//!                      assembly for kernels, raw assembly for the
-//!                      deliberately untranslatable idioms
-//!     --check          run every variant through the conform oracle
-//!                      (translatable: full differential check at every
-//!                      width; untranslatable: abort-never-mistranslate
-//!                      with the expected tag) and gate on abort coverage
-//!                      [--jobs N] [--json] [--out FILE]
-//! liquid-simd serve [--addr A] [--shards N]
-//!                      batched simulation daemon: line-delimited JSON
-//!                      requests (translate|run|explain|conform|stats|
-//!                      inspect|dump|shutdown) over TCP, answered in
-//!                      request order per connection; repeat requests are
-//!                      served from a cross-request translation cache and
-//!                      responses are byte-identical at every shard count
-//!     --addr A         bind address (default 127.0.0.1:7070)
-//!     --shards N       worker shards (default min(cores, 8))
-//!     --backend B      backend the daemon simulates with (responses are
-//!                      byte-identical either way)
-//!     --history F      perfhist-serve-v1 batch telemetry (default
-//!                      bench/history.jsonl; --no-history to disable)
-//!     --history-every N   flush a batch record every N requests
-//!                      (default 64; a final record flushes at shutdown)
-//!     --flight-capacity N   per-shard flight-recorder ring capacity
-//!                      (default 4096; 0 disables the recorder)
-//!     --flight-dir D   where black-box dumps go (worker panic,
-//!                      budget-exceeded bursts, or the `dump` op); no
-//!                      dumps are written without it
-//!     --burst-threshold N   consecutive budget-exceeded errors that
-//!                      trigger an automatic dump (default 8)
-//!     --cache-cap N    translation-cache entry cap (default 0 =
-//!                      unbounded; bounded caches evict LRU)
-//!     --inject-faults  honor the test-only `inject:"panic"` request
-//!                      field (crash drills; off by default)
-//! liquid-simd inspect [--addr A] [--raw] [--scrub]
-//!                      one `metrics-v1` snapshot from a live daemon:
-//!                      counters, pow2 latency/cycle histograms, cache
-//!                      occupancy, flight-ring health — rendered as text
-//!                      (--raw: the JSON line; --scrub: schedule-scrubbed
-//!                      JSON for byte-comparing daemons)
-//! liquid-simd top [--addr A] [--interval S] [--count N] [--once]
-//!                      live terminal view over `inspect`: throughput,
-//!                      p50/p95/p99 latency, cache hit rate, abort
-//!                      tallies; plain ANSI, redrawn every --interval
-//!                      seconds (default 2; --once prints a single frame
-//!                      with no escape codes)
-//! liquid-simd sentinel [--baseline REF] [--json]
-//!                      regression gate over the history: deterministic
-//!                      sim_cycles must match the baseline record exactly
-//!                      (any drift fails, improvements included);
-//!                      wall-clock throughput only warns (median/MAD band);
-//!                      baselines pair only within the same backend
-//!     --history F      history file (default bench/history.jsonl)
-//!     --window N       baseline window size (default 5)
-//!     --noise-frac X   wall-clock warn fraction (default 0.15)
-//!     --cross-backend  instead gate that the newest interp and superblock
-//!                      records (same commit/config) report identical
-//!                      deterministic sim cycles at every width
-//! liquid-simd dashboard [--out report.html]
-//!                      render the history as one self-contained HTML file
-//!                      (inline SVG/CSS, no JavaScript, no external
-//!                      fetches): cycle-trend sparklines, width-speedup
-//!                      bars, counter deltas, and a flamegraph
-//!     --history F      history file (default bench/history.jsonl)
-//!     --flame W        workload profiled for the flamegraph (default fir)
-//!     --flight-dir D   fold any flight-v1 dumps in D into the report
-//!                      (stage tallies + failing-request lifecycle)
-//!     --snapshot F     embed a `metrics-v1` snapshot (an `inspect`
-//!                      response line) as live tiles + histogram charts
-//! liquid-simd conform [--seed S] [--cases N] [--jobs N] [--json]
-//!                      generative differential conformance: random legal
-//!                      and illegal loops through every pipeline at every
-//!                      width, plus the abort-injection sweep; failing
-//!                      cases are shrunk and written to the corpus dir
-//!     --out FILE       write the conform-v1 JSON report to FILE
-//!     --corpus-dir D   where minimized failures go (default tests/corpus)
-//!     --no-shrink      report raw failing specs without minimizing
-//! ```
+//! Every command (and every mode of a multi-mode command such as
+//! `bench --serve`) is one row of [`COMMANDS`]: its operands, its flags
+//! with their value placeholders and one-line help, and its handler.
+//! [`Args::parse`] validates a command line against that row — an unknown
+//! flag, a value flag without its value, or a stray or missing operand is
+//! an error naming the offending token — and `liquid-simd help` renders
+//! the same rows, so the help text and the parser cannot disagree.
 
 use std::fs;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -181,73 +30,495 @@ fn main() -> ExitCode {
     }
 }
 
+/// A flag a command accepts: its name, the placeholder of its value
+/// (`None` for a switch), and one line of help.
+type Flag = (&'static str, Option<&'static str>, &'static str);
+
+/// One command (or one mode of a multi-mode command): the declarative
+/// table the parser validates against and `usage()` renders.
+struct Command {
+    name: &'static str,
+    /// The switch selecting this mode (`bench --serve`); `None` for the
+    /// command's default mode. The switch is also listed in `flags`.
+    mode: Option<&'static str>,
+    /// Operand synopsis, e.g. `<prog.s|prog.lsim>`.
+    operands: &'static str,
+    /// Accepted operand counts.
+    arity: &'static [usize],
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const LANES: Flag = (
+    "--lanes",
+    Some("N"),
+    "SIMD accelerator width (default 8; 0 = scalar only)",
+);
+const BACKEND: Flag = (
+    "--backend",
+    Some("B"),
+    "interp (default) or superblock: same cycles",
+);
+const NATIVE: Flag = ("--native", None, "no dynamic translation (vector binaries)");
+const JIT: Flag = ("--jit", None, "software-JIT translation (stalls the CPU)");
+const JOBS: Flag = (
+    "--jobs",
+    Some("N"),
+    "worker threads (default: all cores; same output)",
+);
+const JSON: Flag = ("--json", None, "emit JSON instead of text");
+const SMOKE: Flag = ("--smoke", None, "CI-sized subset");
+const HISTORY: Flag = (
+    "--history",
+    Some("FILE"),
+    "history file (default bench/history.jsonl)",
+);
+const NO_HISTORY: Flag = ("--no-history", None, "skip the history append");
+const ADDR: Flag = (
+    "--addr",
+    Some("A"),
+    "daemon address (default 127.0.0.1:7070)",
+);
+const SNAPSHOT_OUT: Flag = (
+    "--out",
+    Some("FILE"),
+    "snapshot path (default BENCH_sim.json)",
+);
+
+/// Every command, one row per mode. A command's mode rows precede its
+/// default row (the parser takes the first row whose switch is present).
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "asm", mode: None, operands: "<input.s>", arity: &[1], run: cmd_asm,
+        about: "assemble to an object file",
+        flags: &[("-o", Some("OUT"), "output path (default <input>.lsim)")],
+    },
+    Command {
+        name: "disasm", mode: None, operands: "<prog.lsim>", arity: &[1], run: cmd_disasm,
+        about: "disassemble an object file",
+        flags: &[],
+    },
+    Command {
+        name: "run", mode: None, operands: "<prog.s|prog.lsim>", arity: &[1], run: cmd_run,
+        about: "simulate to halt",
+        flags: &[
+            LANES, BACKEND, NATIVE, JIT,
+            ("--report", None, "print cache/translator statistics"),
+            ("--trace", None, "record dynamic events; print the trace summary"),
+            ("--trace-out", Some("FILE"), "also write them (.json: Chrome trace, else JSON-lines)"),
+        ],
+    },
+    Command {
+        name: "translate", mode: None, operands: "<prog.s|prog.lsim>", arity: &[1],
+        run: cmd_translate,
+        about: "run once and print each translated microcode block",
+        flags: &[LANES],
+    },
+    Command {
+        name: "trace", mode: None, operands: "<prog.s|prog.lsim>", arity: &[1], run: cmd_trace,
+        about: "traced run; write the Chrome trace and print its summary",
+        flags: &[
+            LANES, BACKEND, NATIVE, JIT,
+            ("--out", Some("FILE"), "trace path (default trace.json)"),
+            ("--instructions", None, "also record every retired instruction"),
+        ],
+    },
+    Command {
+        name: "explain", mode: None, operands: "<prog|workload>", arity: &[1], run: cmd_explain,
+        about: "per-region translation verdicts at every width, with full provenance",
+        flags: &[
+            ("--widths", Some("2,4,8,16"), "widths to explain"),
+            BACKEND, JSON,
+            ("--interrupt-every", Some("N"), "inject an external interrupt every N cycles"),
+            ("--all-calls", None, "also attempt plain `bl` (no `bl.v`) calls"),
+        ],
+    },
+    Command {
+        name: "profile", mode: None, operands: "<prog|workload>", arity: &[1], run: cmd_profile,
+        about: "cycle breakdown: phases, spans, hottest call targets, microcode cache",
+        flags: &[
+            LANES, JSON,
+            ("--top", Some("N"), "rows per table (default 10)"),
+            ("--trace-out", Some("FILE"), "also write the Chrome trace with nested spans"),
+        ],
+    },
+    Command {
+        name: "diff", mode: None, operands: "[<A@wN|FILE> <B@wN|FILE>]", arity: &[0, 2],
+        run: cmd_diff,
+        about: "explain a cycle delta from the ledger: two `<prog|workload>@wN` runs, \
+                two history files, or (no sides) the last two --history records",
+        flags: &[
+            BACKEND,
+            ("--json", None, "emit the diff-v1 document instead of text"),
+            ("--out", Some("FILE"), "write the report to FILE"),
+            HISTORY,
+        ],
+    },
+    Command {
+        name: "tables", mode: None, operands: "", arity: &[0], run: cmd_tables,
+        about: "regenerate the paper's tables, Figure 6 and the ablations",
+        flags: &[JOBS, SMOKE],
+    },
+    Command {
+        name: "bench", mode: Some("--serve"), operands: "", arity: &[0], run: cmd_bench_serve,
+        about: "load-test the serve daemon at 1 shard and at --shards; fail on any \
+                byte difference or a translation-cache hit rate below 90%",
+        flags: &[
+            ("--serve", None, "select this mode"),
+            SMOKE, BACKEND,
+            ("--clients", Some("N"), "concurrent connections (default 4)"),
+            ("--requests", Some("N"), "requests per client (default auto-sized)"),
+            ("--shards", Some("N"), "shards of the sharded pass (default 8)"),
+            HISTORY, NO_HISTORY,
+            ("--measure-recorder", None, "third pass with the flight recorder off"),
+            ("--out", Some("FILE"), "snapshot noting the overhead (default BENCH_sim.json)"),
+        ],
+    },
+    Command {
+        name: "bench", mode: Some("--families"), operands: "", arity: &[0],
+        run: cmd_bench_families,
+        about: "benchmark the generated kernel families: per-family speedup \
+                distributions and abort tallies, no wall clock in the snapshot",
+        flags: &[
+            ("--families", None, "select this mode"),
+            ("--smoke", None, "trip <= 64, unroll <= 2, widths 2 and 8"),
+            BACKEND, SNAPSHOT_OUT, HISTORY, NO_HISTORY,
+        ],
+    },
+    Command {
+        name: "bench", mode: None, operands: "", arity: &[0], run: cmd_bench,
+        about: "benchmark the simulator: cycles at every width, counters and the \
+                parallel sweep; write a snapshot, append a perfhist-v1 record",
+        flags: &[
+            JOBS, SMOKE, BACKEND,
+            ("--ledger", None, "embed per-workload cycle-ledger snapshots in the record"),
+            ("--progress", None, "stream per-unit sweep timings to stderr"),
+            SNAPSHOT_OUT, HISTORY, NO_HISTORY,
+        ],
+    },
+    Command {
+        name: "gen", mode: Some("--check"), operands: "", arity: &[0], run: cmd_gen_check,
+        about: "run every corpus variant through the conform oracle; gate on abort coverage",
+        flags: &[
+            ("--check", None, "select this mode"),
+            JOBS, JSON,
+            ("--out", Some("FILE"), "also write the gen-check-v1 report"),
+        ],
+    },
+    Command {
+        name: "gen", mode: None, operands: "", arity: &[0], run: cmd_gen,
+        about: "the declarative kernel-generator corpus (bench/families/*.kernel)",
+        flags: &[
+            ("--list", None, "one variant name per line (the default)"),
+            ("--expand", None, "the deterministic expansion manifest, one variant per line"),
+            ("--emit", Some("VARIANT"), "print the variant's program"),
+            ("--smoke", None, "only variants with trip <= 64, unroll <= 2"),
+            ("--out", Some("FILE"), "write the list or manifest to FILE"),
+        ],
+    },
+    Command {
+        name: "serve", mode: None, operands: "", arity: &[0], run: cmd_serve,
+        about: "line-delimited JSON simulation daemon over TCP; responses are \
+                byte-identical at every shard count",
+        flags: &[
+            ("--addr", Some("A"), "bind address (default 127.0.0.1:7070)"),
+            ("--shards", Some("N"), "worker shards (default min(cores, 8))"),
+            BACKEND, HISTORY, NO_HISTORY,
+            ("--history-every", Some("N"), "flush a batch record every N requests (default 64)"),
+            ("--flight-capacity", Some("N"), "per-shard flight ring (default 4096; 0 disables)"),
+            ("--flight-dir", Some("DIR"), "where black-box dumps go (none without it)"),
+            ("--burst-threshold", Some("N"), "budget errors in a row that dump (default 8)"),
+            ("--cache-cap", Some("N"), "translation-cache entries (default 0 = unbounded)"),
+            ("--inject-faults", None, "honor the test-only `inject:\"panic\"` field"),
+        ],
+    },
+    Command {
+        name: "inspect", mode: None, operands: "", arity: &[0], run: cmd_inspect,
+        about: "one metrics-v1 snapshot from a live daemon",
+        flags: &[
+            ADDR,
+            ("--raw", None, "print the JSON line"),
+            ("--scrub", None, "print schedule-scrubbed JSON for byte-comparing daemons"),
+        ],
+    },
+    Command {
+        name: "top", mode: None, operands: "", arity: &[0], run: cmd_top,
+        about: "live terminal view over `inspect`",
+        flags: &[
+            ADDR,
+            ("--interval", Some("SECS"), "redraw period (default 2)"),
+            ("--count", Some("N"), "stop after N frames"),
+            ("--once", None, "one frame, no escape codes"),
+        ],
+    },
+    Command {
+        name: "sentinel", mode: Some("--cross-backend"), operands: "", arity: &[0],
+        run: cmd_sentinel_cross,
+        about: "gate that the newest interp and superblock records report identical cycles",
+        flags: &[("--cross-backend", None, "select this mode"), JSON, HISTORY],
+    },
+    Command {
+        name: "sentinel", mode: None, operands: "", arity: &[0], run: cmd_sentinel,
+        about: "regression gate over the history: cycles must match the baseline \
+                exactly; wall clock only warns",
+        flags: &[
+            ("--baseline", Some("REF"), "baseline commit"),
+            JSON, HISTORY,
+            ("--window", Some("N"), "baseline window size (default 5)"),
+            ("--noise-frac", Some("X"), "wall-clock warn fraction (default 0.15)"),
+        ],
+    },
+    Command {
+        name: "dashboard", mode: None, operands: "", arity: &[0], run: cmd_dashboard,
+        about: "render the history as one self-contained HTML file",
+        flags: &[
+            ("--out", Some("FILE"), "output path (default report.html)"),
+            HISTORY,
+            ("--flame", Some("WORKLOAD"), "workload profiled for the flamegraph (default fir)"),
+            ("--flight-dir", Some("DIR"), "fold in the flight-v1 dumps in DIR"),
+            ("--snapshot", Some("FILE"), "embed a metrics-v1 snapshot (an `inspect` line)"),
+        ],
+    },
+    Command {
+        name: "conform", mode: None, operands: "", arity: &[0], run: cmd_conform,
+        about: "generative differential conformance plus the abort-injection sweep",
+        flags: &[
+            ("--seed", Some("S"), "generator seed (default 0xC0FFEE)"),
+            ("--cases", Some("N"), "random cases (default 200)"),
+            JOBS, JSON,
+            ("--out", Some("FILE"), "write the conform-v1 report to FILE"),
+            ("--corpus-dir", Some("DIR"), "where minimized failures go (default tests/corpus)"),
+            ("--no-shrink", None, "report raw failing specs"),
+        ],
+    },
+];
+
 fn run_cli(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
+    if matches!(
+        args.first().map(String::as_str),
+        Some("help" | "--help" | "-h")
+    ) {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let args = parse_cli(args)?;
+    (args.cmd.run)(&args)
+}
+
+/// Picks the command's table row and parses the rest of the line with it.
+fn parse_cli(args: &[String]) -> Result<Args, String> {
+    let Some(name) = args.first() else {
         return Err(usage());
     };
     let rest = &args[1..];
-    match cmd.as_str() {
-        "asm" => cmd_asm(rest),
-        "disasm" => cmd_disasm(rest),
-        "run" => cmd_run(rest),
-        "translate" => cmd_translate(rest),
-        "trace" => cmd_trace(rest),
-        "explain" => cmd_explain(rest),
-        "profile" => cmd_profile(rest),
-        "diff" => cmd_diff(rest),
-        "tables" => cmd_tables(rest),
-        "bench" => cmd_bench(rest),
-        "gen" => cmd_gen(rest),
-        "serve" => cmd_serve(rest),
-        "inspect" => cmd_inspect(rest),
-        "top" => cmd_top(rest),
-        "sentinel" => cmd_sentinel(rest),
-        "dashboard" => cmd_dashboard(rest),
-        "conform" => cmd_conform(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
+    // Mode rows precede their command's default row, so the first mode
+    // whose switch appears wins; its table then rejects any other mode's
+    // switch as unknown.
+    let cmd = COMMANDS
+        .iter()
+        .filter(|c| c.name == name.as_str())
+        .find(|c| c.mode.is_none_or(|m| rest.iter().any(|a| a == m)))
+        .ok_or_else(|| format!("unknown command `{name}`\n{}", usage()))?;
+    Args::parse(cmd, rest)
+        .map_err(|e| format!("{name}: {e}\nusage: liquid-simd {}", cmd.synopsis()))
+}
+
+impl Command {
+    /// `name [mode] [operands]`.
+    fn heading(&self) -> String {
+        let parts = [self.name, self.mode.unwrap_or(""), self.operands];
+        parts
+            .iter()
+            .filter(|p| !p.is_empty())
+            .copied()
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// The flags besides the mode switch, with their rendered names.
+    fn options(&self) -> impl Iterator<Item = (String, &'static str)> + '_ {
+        self.flags
+            .iter()
+            .filter(|f| Some(f.0) != self.mode)
+            .map(|&(flag, value, help)| match value {
+                Some(v) => (format!("{flag} {v}"), help),
+                None => (flag.to_string(), help),
+            })
+    }
+
+    /// The heading and every flag on one line, shown with a parse error.
+    fn synopsis(&self) -> String {
+        let mut out = self.heading();
+        for (flag, _) in self.options() {
+            out.push_str(&format!(" [{flag}]"));
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        out
     }
 }
 
+/// The full help text, rendered from [`COMMANDS`].
 fn usage() -> String {
-    "usage: liquid-simd <asm|disasm|run|translate|trace|explain|profile|diff|tables|bench|gen|serve|inspect|top|sentinel|dashboard|conform|help> [args]\n\
-     \n\
-     asm <input.s> -o <out.lsim>\n\
-     disasm <prog.lsim>\n\
-     run <prog.s|prog.lsim> [--lanes N] [--backend interp|superblock]\n\
-         [--native] [--jit] [--report] [--trace] [--trace-out FILE]\n\
-     translate <prog.s|prog.lsim> [--lanes N]\n\
-     trace <prog.s|prog.lsim> [--lanes N] [--backend B] [--native] [--jit]\n\
-         [--out trace.json] [--instructions]\n\
-     explain <prog|workload> [--widths 2,4,8,16] [--backend B] [--json]\n\
-         [--interrupt-every N] [--all-calls]\n\
-     profile <prog|workload> [--lanes N] [--json] [--top N]\n\
-         [--trace-out trace.json]\n\
-     diff [<A@wN|FILE> <B@wN|FILE>] [--backend B] [--json] [--out FILE]\n\
-         [--history bench/history.jsonl]\n\
-     tables [--jobs N] [--smoke]\n\
-     bench [--jobs N] [--smoke] [--backend B] [--ledger] [--progress]\n\
-         [--out BENCH_sim.json] [--history bench/history.jsonl]\n\
-         [--no-history] [--serve [--clients N] [--requests N] [--shards N]\n\
-         [--measure-recorder]] [--families]\n\
-     gen [--list] [--expand] [--emit VARIANT] [--check [--jobs N] [--json]]\n\
-         [--out FILE]\n\
-     serve [--addr 127.0.0.1:7070] [--shards N] [--backend B]\n\
-         [--history FILE] [--no-history] [--history-every N]\n\
-         [--flight-capacity N] [--flight-dir DIR] [--burst-threshold N]\n\
-         [--cache-cap N] [--inject-faults]\n\
-     inspect [--addr 127.0.0.1:7070] [--raw] [--scrub]\n\
-     top [--addr 127.0.0.1:7070] [--interval SECS] [--count N] [--once]\n\
-     sentinel [--baseline REF] [--json] [--history FILE]\n\
-         [--window N] [--noise-frac X] [--cross-backend]\n\
-     dashboard [--out report.html] [--history FILE] [--flame WORKLOAD]\n\
-         [--flight-dir DIR] [--snapshot FILE]\n\
-     conform [--seed S] [--cases N] [--jobs N] [--json] [--out FILE]\n\
-         [--corpus-dir DIR] [--no-shrink]"
-        .to_string()
+    let mut out = String::from("usage: liquid-simd <command> [args]\n");
+    for cmd in COMMANDS {
+        out.push_str(&format!("\n{}\n    {}\n", cmd.heading(), cmd.about));
+        for (flag, help) in cmd.options() {
+            out.push_str(&format!("    {flag:<24}{help}\n"));
+        }
+    }
+    out.push_str("\nhelp\n    print this text");
+    out
+}
+
+/// One command line, validated against its [`Command`] table.
+struct Args {
+    cmd: &'static Command,
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// Splits `rest` into the table's switches, flag values and operands.
+    /// Any token starting with `-` must be a declared flag; a value flag
+    /// takes the next token whatever it is; the operand count must be one
+    /// the table accepts.
+    fn parse(cmd: &'static Command, rest: &[String]) -> Result<Self, String> {
+        let mut args = Args {
+            cmd,
+            switches: Vec::new(),
+            values: Vec::new(),
+            operands: Vec::new(),
+        };
+        let mut tokens = rest.iter();
+        while let Some(tok) = tokens.next() {
+            if !tok.starts_with('-') {
+                args.operands.push(tok.clone());
+                continue;
+            }
+            let &(flag, value, _) = cmd
+                .flags
+                .iter()
+                .find(|(f, _, _)| f == tok)
+                .ok_or_else(|| format!("unknown flag `{tok}`"))?;
+            match value {
+                None => args.switches.push(flag),
+                Some(v) => {
+                    let given = tokens
+                        .next()
+                        .ok_or_else(|| format!("`{flag}` needs a value ({v})"))?;
+                    args.values.push((flag, given.clone()));
+                }
+            }
+        }
+        let max = cmd.arity.iter().copied().max().unwrap_or(0);
+        if let Some(stray) = args.operands.get(max) {
+            return Err(format!("unexpected argument `{stray}`"));
+        }
+        if !cmd.arity.contains(&args.operands.len()) {
+            return Err(format!("missing operand {}", cmd.operands));
+        }
+        Ok(args)
+    }
+
+    /// Trips in debug builds when a handler asks for a flag its table
+    /// does not declare (or declares with the other kind).
+    fn declared(&self, name: &str, takes_value: bool) {
+        debug_assert!(
+            self.cmd
+                .flags
+                .iter()
+                .any(|&(f, v, _)| f == name && v.is_some() == takes_value),
+            "`{}` does not declare {name}",
+            self.cmd.synopsis()
+        );
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        self.declared(name, false);
+        self.switches.contains(&name)
+    }
+
+    /// The value of the first occurrence of `name`.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.declared(name, true);
+        self.values
+            .iter()
+            .find(|(f, _)| *f == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn value_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
+        self.value(name).unwrap_or(default)
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.value(name).map(PathBuf::from)
+    }
+
+    /// A count: an integer >= 1.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(v) => match v.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(format!("bad {name} `{v}` (need an integer >= 1)")),
+            },
+        }
+    }
+
+    /// An unsigned integer, decimal or `0x` hex; 0 allowed.
+    fn uint(&self, name: &str, default: u64) -> Result<u64, String> {
+        let Some(v) = self.value(name) else {
+            return Ok(default);
+        };
+        match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => v.parse(),
+        }
+        .map_err(|_| format!("bad {name} `{v}` (need an unsigned integer)"))
+    }
+
+    /// A number > 0.
+    fn positive(&self, name: &str, default: f64) -> Result<f64, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(v) => match v.parse::<f64>() {
+                Ok(x) if x > 0.0 => Ok(x),
+                _ => Err(format!("bad {name} `{v}` (need a number > 0)")),
+            },
+        }
+    }
+
+    /// The single operand of a one-operand command.
+    fn operand(&self) -> &str {
+        &self.operands[0]
+    }
+
+    /// `--backend interp|superblock` — which execution backend simulates
+    /// the program. Both retire bit-identical architectural state and
+    /// cycle counts; superblock pre-lowers straight-line runs for
+    /// throughput.
+    fn backend(&self) -> Result<liquid_simd::BackendKind, String> {
+        match self.value("--backend") {
+            None => Ok(liquid_simd::BackendKind::default()),
+            Some(v) => liquid_simd::BackendKind::parse(v)
+                .ok_or_else(|| format!("bad --backend `{v}` (interp or superblock)")),
+        }
+    }
+
+    fn lanes(&self) -> Result<usize, String> {
+        let lanes = self.uint("--lanes", 8)?;
+        if lanes != 0 && !((2..=16).contains(&lanes) && lanes.is_power_of_two()) {
+            return Err("--lanes must be 0 (scalar) or a power of two in 2..=16".into());
+        }
+        Ok(lanes as usize)
+    }
+
+    fn jobs(&self) -> Result<usize, String> {
+        self.count("--jobs", liquid_simd::default_jobs())
+    }
 }
 
 /// Loads a program from either assembly text or an object file, by
@@ -263,52 +534,10 @@ fn load_program(path: &str) -> Result<Program, String> {
     }
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn option_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args
-                .get(i + 1)
-                .map(|s| Some(s.as_str()))
-                .ok_or_else(|| format!("{name} needs a value"));
-        }
-    }
-    Ok(None)
-}
-
-/// `--backend interp|superblock` — which execution backend simulates the
-/// program. Both retire bit-identical architectural state and cycle
-/// counts; superblock pre-lowers straight-line runs for throughput.
-fn parse_backend(args: &[String]) -> Result<liquid_simd::BackendKind, String> {
-    match option_value(args, "--backend")? {
-        None => Ok(liquid_simd::BackendKind::default()),
-        Some(v) => liquid_simd::BackendKind::parse(v)
-            .ok_or_else(|| format!("bad --backend `{v}` (interp or superblock)")),
-    }
-}
-
-fn parse_lanes(args: &[String]) -> Result<usize, String> {
-    match option_value(args, "--lanes")? {
-        None => Ok(8),
-        Some(v) => {
-            let lanes: usize = v.parse().map_err(|_| format!("bad --lanes `{v}`"))?;
-            if lanes != 0 && !((2..=16).contains(&lanes) && lanes.is_power_of_two()) {
-                return Err("--lanes must be 0 (scalar) or a power of two in 2..=16".into());
-            }
-            Ok(lanes)
-        }
-    }
-}
-
-fn cmd_asm(args: &[String]) -> Result<(), String> {
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("asm: missing input file")?;
-    let output = option_value(args, "-o")?
+fn cmd_asm(args: &Args) -> Result<(), String> {
+    let input = args.operand();
+    let output = args
+        .value("-o")
         .map(str::to_string)
         .unwrap_or_else(|| input.strip_suffix(".s").unwrap_or(input).to_string() + ".lsim");
     let text = fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
@@ -325,9 +554,8 @@ fn cmd_asm(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let input = args.first().ok_or("disasm: missing input file")?;
-    let program = load_program(input)?;
+fn cmd_disasm(args: &Args) -> Result<(), String> {
+    let program = load_program(args.operand())?;
     print!("{}", program.disassemble());
     Ok(())
 }
@@ -335,45 +563,40 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
 /// Maps the CLI's `--lanes 0` / `--native` / `--jit` flag triage onto the
 /// shared renderer's [`machine_config`](serve::ops::machine_config), so
 /// one-shot runs and the serve daemon configure machines identically.
-fn config_from(args: &[String]) -> Result<MachineConfig, String> {
-    let lanes = parse_lanes(args)?;
+fn config_from(args: &Args) -> Result<MachineConfig, String> {
+    let lanes = args.lanes()?;
     let mode = if lanes == 0 {
         serve::proto::Mode::Scalar
-    } else if flag(args, "--native") {
+    } else if args.flag("--native") {
         serve::proto::Mode::Native
     } else {
         serve::proto::Mode::Liquid
     };
-    Ok(serve::ops::machine_config(mode, lanes, flag(args, "--jit"))
-        .with_backend(parse_backend(args)?))
+    Ok(serve::ops::machine_config(mode, lanes, args.flag("--jit")).with_backend(args.backend()?))
 }
 
 fn print_report(report: &RunReport) {
     print!("{}", serve::ops::report_text(report));
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("run: missing input file")?;
-    let program = load_program(input)?;
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let program = load_program(args.operand())?;
     let mut cfg = config_from(args)?;
-    let trace_out = option_value(args, "--trace-out")?.map(str::to_string);
-    let tracing = flag(args, "--trace") || trace_out.is_some();
+    let trace_out = args.value("--trace-out");
+    let tracing = args.flag("--trace") || trace_out.is_some();
     let tracer = tracing.then(Tracer::new);
     if let Some(t) = &tracer {
         cfg = cfg.with_tracer(t.clone());
     }
     let mut machine = Machine::new(&program, cfg);
     let report = machine.run().map_err(|e| e.to_string())?;
-    if flag(args, "--report") {
+    if args.flag("--report") {
         print_report(&report);
     } else {
         print!("{}", serve::ops::run_summary(&report));
     }
     if let Some(t) = &tracer {
-        if let Some(path) = &trace_out {
+        if let Some(path) = trace_out {
             write_trace(t, path)?;
         }
         print!("{}", export::summary(t));
@@ -403,32 +626,23 @@ fn write_trace(tracer: &Tracer, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("trace: missing input file")?;
-    let program = load_program(input)?;
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let program = load_program(args.operand())?;
     let tracer = Tracer::with_config(TraceConfig {
-        instructions: flag(args, "--instructions"),
+        instructions: args.flag("--instructions"),
         ..TraceConfig::default()
     });
     let cfg = config_from(args)?.with_tracer(tracer.clone());
     let mut machine = Machine::new(&program, cfg);
     machine.run().map_err(|e| e.to_string())?;
-    let out = option_value(args, "--out")?.unwrap_or("trace.json");
-    write_trace(&tracer, out)?;
+    write_trace(&tracer, args.value_or("--out", "trace.json"))?;
     print!("{}", export::summary(&tracer));
     Ok(())
 }
 
-fn cmd_translate(args: &[String]) -> Result<(), String> {
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("translate: missing input file")?;
-    let program = load_program(input)?;
-    let lanes = parse_lanes(args)?;
+fn cmd_translate(args: &Args) -> Result<(), String> {
+    let program = load_program(args.operand())?;
+    let lanes = args.lanes()?;
     if lanes < 2 {
         return Err("translate: --lanes must be >= 2".into());
     }
@@ -462,8 +676,8 @@ fn resolve_program(input: &str) -> Result<(Program, String), String> {
     ))
 }
 
-fn parse_widths(args: &[String]) -> Result<Vec<usize>, String> {
-    let Some(list) = option_value(args, "--widths")? else {
+fn parse_widths(args: &Args) -> Result<Vec<usize>, String> {
+    let Some(list) = args.value("--widths") else {
         return Ok(experiments::paper_widths());
     };
     let mut widths = Vec::new();
@@ -485,26 +699,16 @@ fn parse_widths(args: &[String]) -> Result<Vec<usize>, String> {
     Ok(widths)
 }
 
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("explain: missing program file or workload name")?;
-    let (program, name) = resolve_program(input)?;
-    let interrupt_every = match option_value(args, "--interrupt-every")? {
-        None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --interrupt-every `{v}`"))?,
-    };
+fn cmd_explain(args: &Args) -> Result<(), String> {
+    let (program, name) = resolve_program(args.operand())?;
     let opts = liquid_simd::ExplainOptions {
         widths: parse_widths(args)?,
-        interrupt_every,
-        all_calls: flag(args, "--all-calls"),
-        backend: parse_backend(args)?,
+        interrupt_every: args.uint("--interrupt-every", 0)?,
+        all_calls: args.flag("--all-calls"),
+        backend: args.backend()?,
     };
     let report = liquid_simd::explain(&program, &name, &opts).map_err(|e| e.to_string())?;
-    if flag(args, "--json") {
+    if args.flag("--json") {
         print!("{}", liquid_simd::diagnose::explain_json(&report));
     } else {
         print!("{}", liquid_simd::diagnose::render_explain(&report));
@@ -512,22 +716,12 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let input = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("profile: missing program file or workload name")?;
-    let (program, name) = resolve_program(input)?;
-    let lanes = parse_lanes(args)?;
-    let top = match option_value(args, "--top")? {
-        None => 10,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --top `{v}` (need an integer >= 1)")),
-        },
-    };
+fn cmd_profile(args: &Args) -> Result<(), String> {
+    let (program, name) = resolve_program(args.operand())?;
+    let lanes = args.lanes()?;
+    let top = args.count("--top", 10)?;
     let report = liquid_simd::profile(&program, &name, lanes).map_err(|e| e.to_string())?;
-    if let Some(path) = option_value(args, "--trace-out")? {
+    if let Some(path) = args.value("--trace-out") {
         let text = export::chrome_trace_with_spans(&report.records, &report.spans);
         fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
@@ -536,7 +730,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             report.spans.len()
         );
     }
-    if flag(args, "--json") {
+    if args.flag("--json") {
         print!("{}", liquid_simd::diagnose::profile_json(&report, top));
     } else {
         print!("{}", liquid_simd::diagnose::render_profile(&report, top));
@@ -544,51 +738,103 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    match option_value(args, "--jobs")? {
-        None => Ok(liquid_simd::default_jobs()),
-        Some(v) => match v.parse::<usize>() {
-            Ok(j) if j >= 1 => Ok(j),
-            _ => Err(format!("bad --jobs `{v}` (need an integer >= 1)")),
-        },
-    }
-}
-
 /// The workload set and width sweep a `tables`/`bench` invocation uses:
 /// all fifteen benchmarks over the paper's widths, or the three-benchmark
 /// smoke subset over two widths with `--smoke` (CI-sized).
-fn bench_suite(args: &[String]) -> (Vec<liquid_simd::Workload>, Vec<usize>) {
-    if flag(args, "--smoke") {
+fn bench_suite(smoke: bool) -> (Vec<liquid_simd::Workload>, Vec<usize>) {
+    if smoke {
         (liquid_simd_workloads::smoke(), vec![2, 8])
     } else {
         (liquid_simd_workloads::all(), experiments::paper_widths())
     }
 }
 
-fn cmd_tables(args: &[String]) -> Result<(), String> {
-    let jobs = parse_jobs(args)?;
-    let (workloads, widths) = bench_suite(args);
+/// Table 2's synthesis-model widths (the paper's 8-wide design point and
+/// its neighbours).
+const TABLE2_WIDTHS: [usize; 4] = [2, 4, 8, 16];
+/// Ablation A1's translation costs, in cycles per observed instruction.
+const A1_COSTS: [u64; 4] = [1, 10, 40, 100];
+/// Ablation A2's software-JIT cost, in CPU-stalling cycles per instruction.
+const A2_JIT_COST: u64 = 40;
+/// FIR calls in the Figure 6 callout: enough to amortise the first-call
+/// warm-up the way the paper's full-length runs did.
+const CALLOUT_REPS: u32 = 3000;
+
+fn cmd_tables(args: &Args) -> Result<(), String> {
+    use liquid_simd::translator::area::{estimate, TranslatorGeometry};
+    let jobs = args.jobs()?;
+    let (workloads, widths) = bench_suite(args.flag("--smoke"));
     let err = |e: liquid_simd::VerifyError| e.to_string();
 
-    println!("── Table 5: outlined-function sizes (functions, mean, max) ──");
-    for row in experiments::table5_jobs(&workloads, jobs).map_err(err)? {
+    println!("── Table 2: translator synthesis model (paper, 8-wide: 16 gates, 1.51 ns, 174,117 cells, < 0.2 mm^2) ──");
+    println!("  width  crit.path  delay(ns)  fmax(MHz)  cells     mm^2    regstate  buffer");
+    for lanes in TABLE2_WIDTHS {
+        let e = estimate(&TranslatorGeometry::with_lanes(lanes));
+        println!(
+            "  {lanes:<6} {:<10} {:<10.2} {:<10.0} {:<9.0} {:<7.3} {:<9.0} {:.0}",
+            e.critical_path_gates,
+            e.delay_ns(),
+            e.fmax_mhz(),
+            e.total_cells(),
+            e.area_mm2(),
+            e.regstate_cells,
+            e.buffer_cells,
+        );
+    }
+    println!("\n── Table 5: outlined-function sizes (functions, mean, max) ──");
+    for row in experiments::table5(&workloads, jobs).map_err(err)? {
         println!("{row}");
     }
     println!("\n── Table 6: first-call gaps (<150, <300, >=300, mean) ──");
-    for row in experiments::table6_jobs(&workloads, jobs).map_err(err)? {
+    for row in experiments::table6(&workloads, jobs).map_err(err)? {
         println!("{row}");
     }
     println!("\n── Figure 6: speedup at widths {widths:?} (liquid | built-in | native) ──");
-    for row in experiments::figure6_jobs(&workloads, &widths, jobs).map_err(err)? {
+    for row in experiments::figure6(&workloads, &widths, jobs).map_err(err)? {
         println!("{row}");
     }
+    let mut fir = liquid_simd_workloads::fir();
+    fir.reps = CALLOUT_REPS;
+    let c = experiments::overhead_callout(&fir, jobs).map_err(err)?;
+    println!(
+        "\n── Figure 6 callout: FIR at {CALLOUT_REPS} calls, 8 lanes (liquid vs built-in ISA) ──"
+    );
+    println!(
+        "liquid {:.4}x, built-in {:.4}x, difference {:.4}",
+        c.liquid_speedup,
+        c.builtin_speedup,
+        c.difference()
+    );
     println!("\n── Code size (plain, liquid, overhead, extra data) ──");
-    for row in experiments::code_size_jobs(&workloads, jobs).map_err(err)? {
+    for row in experiments::code_size(&workloads, jobs).map_err(err)? {
         println!("{row}");
     }
     println!("\n── Microcode cache at 8x64 (loops, max uops, evictions, microcode calls) ──");
-    for row in experiments::mcache_jobs(&workloads, jobs).map_err(err)? {
+    for row in experiments::mcache(&workloads, jobs).map_err(err)? {
         println!("{row}");
+    }
+    println!("\n── Ablation A1: cycles at 8 lanes by translation cost (cycles per observed instruction) ──");
+    let a1_line = |name: &str, cells: Vec<String>| {
+        let line: String = cells.iter().map(|c| format!("{c:<11}")).collect();
+        println!("{}", format!("  {name:<15}{line}").trim_end());
+    };
+    a1_line("benchmark", A1_COSTS.map(|c| format!("cost={c}")).to_vec());
+    for row in experiments::ablation_latency(&workloads, &A1_COSTS, jobs).map_err(err)? {
+        a1_line(
+            &row.benchmark,
+            row.cycles_by_cost.values().map(u64::to_string).collect(),
+        );
+    }
+    println!("\n── Ablation A2: hardware translator vs software JIT at {A2_JIT_COST} cycles/instr, 8 lanes ──");
+    println!("  benchmark      hw-cycles      jit-cycles     jit/hw");
+    for row in experiments::ablation_jit(&workloads, A2_JIT_COST, jobs).map_err(err)? {
+        println!(
+            "  {:<15}{:<15}{:<15}{:.2}",
+            row.benchmark,
+            row.hw_cycles,
+            row.jit_cycles,
+            row.jit_cycles as f64 / row.hw_cycles as f64
+        );
     }
     Ok(())
 }
@@ -735,28 +981,6 @@ fn width_anomaly_entries(
     Ok(out)
 }
 
-/// Positional (non-flag) arguments, skipping the values of value-taking
-/// flags.
-fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if value_flags.contains(&a.as_str()) {
-            skip = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        out.push(a.as_str());
-    }
-    out
-}
-
 /// One side of a `diff`: `<prog|workload>@wN` simulates now with the
 /// ledger on; anything else must be a history file, whose newest
 /// perfhist-v1 record is rolled into a snapshot.
@@ -858,25 +1082,22 @@ fn record_snapshot(rec: &perfhist::Json, label: &str) -> liquid_simd::ledger::Sn
 }
 
 /// `liquid-simd diff`: explain a performance delta from the cycle ledger.
-fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let backend = parse_backend(args)?;
-    let json = flag(args, "--json");
-    let out_path = option_value(args, "--out")?;
-    let sides = positionals(args, &["--backend", "--history", "--out"]);
-    let (a, b) = match sides.len() {
+fn cmd_diff(args: &Args) -> Result<(), String> {
+    let backend = args.backend()?;
+    let (a, b) = match args.operands.as_slice() {
         // No sides: the last two perfhist-v1 records of the history —
         // "what changed since the previous bench run?"
-        0 => {
-            let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
-            let records = perfhist::store::load(std::path::Path::new(history_path))?;
+        [] => {
+            let path = history_path(args);
+            let records = perfhist::store::load(&path)?;
             let mut v1: Vec<&perfhist::Json> = records
                 .iter()
                 .filter(|r| r.get("schema").and_then(perfhist::Json::as_str) == Some("perfhist-v1"))
                 .collect();
             if v1.len() < 2 {
                 return Err(format!(
-                    "{history_path}: need at least two perfhist-v1 records to diff \
-                     (found {})",
+                    "{}: need at least two perfhist-v1 records to diff (found {})",
+                    path.display(),
                     v1.len()
                 ));
             }
@@ -887,24 +1108,16 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
                 record_snapshot(newest, "history[-1]"),
             )
         }
-        2 => (
-            diff_snapshot(sides[0], backend)?,
-            diff_snapshot(sides[1], backend)?,
-        ),
-        n => {
-            return Err(format!(
-                "diff takes zero or two sides, got {n}\n{}",
-                usage()
-            ))
-        }
+        [a, b] => (diff_snapshot(a, backend)?, diff_snapshot(b, backend)?),
+        _ => unreachable!("the diff table accepts zero or two sides"),
     };
     let d = liquid_simd::ledger::diff::diff(&a, &b);
-    let rendered = if json {
+    let rendered = if args.flag("--json") {
         liquid_simd::ledger::diff::render_json(&d)
     } else {
         liquid_simd::ledger::diff::render_text(&d)
     };
-    match out_path {
+    match args.value("--out") {
         Some(p) => {
             fs::write(p, &rendered).map_err(|e| format!("{p}: {e}"))?;
             println!("{p}: written");
@@ -914,20 +1127,13 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    if flag(args, "--serve") {
-        return cmd_bench_serve(args);
-    }
-    if flag(args, "--families") {
-        return cmd_bench_families(args);
-    }
-    let jobs = parse_jobs(args)?;
-    let (workloads, widths) = bench_suite(args);
-    let smoke = flag(args, "--smoke");
-    let want_ledger = flag(args, "--ledger");
-    let backend = parse_backend(args)?;
-    let out_path = option_value(args, "--out")?.unwrap_or("BENCH_sim.json");
-    let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
+fn cmd_bench(args: &Args) -> Result<(), String> {
+    let jobs = args.jobs()?;
+    let smoke = args.flag("--smoke");
+    let (workloads, widths) = bench_suite(smoke);
+    let want_ledger = args.flag("--ledger");
+    let backend = args.backend()?;
+    let out_path = args.value_or("--out", "BENCH_sim.json");
     let err = |e: liquid_simd::VerifyError| e.to_string();
     // The headline width: the paper's 8-lane configuration when swept,
     // else the widest width in the sweep.
@@ -1021,8 +1227,9 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // whether scheduling, build memoization, or one slow unit was at
     // fault).
     let n_units = workloads.len() * (1 + widths.len() * 3);
+    let show_progress = args.flag("--progress");
     let progress = |t: &liquid_simd::TaskTiming| {
-        if flag(args, "--progress") {
+        if show_progress {
             eprintln!(
                 "  [worker {}] unit {}/{} done in {:.1} ms",
                 t.worker,
@@ -1146,25 +1353,18 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // `jobs` field and isolates every wall-clock measurement, so two runs
     // of the same code differ only in scrubbable fields regardless of
     // parallelism (the determinism contract the sentinel gates on).
-    if !flag(args, "--no-history") {
-        let meta = perfhist::RecordMeta {
-            commit: perfhist::record::git_commit(std::path::Path::new(".")),
-            timestamp: perfhist::record::unix_now(),
-            host: perfhist::record::host_fingerprint(),
-            config_hash: format!("{:016x}", MachineConfig::liquid(headline).fingerprint()),
-            smoke,
-            widths: widths.clone(),
-            backend: backend.name().to_string(),
-        };
+    if let Some(path) = history(args) {
+        let meta = record_meta(smoke, &widths, headline, backend);
         let wall_extras = vec![
             ("figure6_serial_s".to_string(), serial_s),
             ("figure6_parallel_s".to_string(), parallel_s),
             ("figure6_speedup".to_string(), speedup),
         ];
         let record = perfhist::record::build(&meta, &rows, &counters, &wall_extras);
-        perfhist::store::append(std::path::Path::new(history_path), &record)?;
+        perfhist::store::append(&path, &record)?;
         println!(
-            "{history_path}: appended perfhist-v1 record for {}",
+            "{}: appended perfhist-v1 record for {}",
+            path.display(),
             meta.commit
         );
     }
@@ -1173,6 +1373,34 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         return Err("parallel figure6 sweep diverged from the serial sweep".into());
     }
     Ok(())
+}
+
+/// The history file: `--history FILE`, default bench/history.jsonl.
+fn history_path(args: &Args) -> PathBuf {
+    PathBuf::from(args.value_or("--history", "bench/history.jsonl"))
+}
+
+/// The history to append to, unless `--no-history`.
+fn history(args: &Args) -> Option<PathBuf> {
+    (!args.flag("--no-history")).then(|| history_path(args))
+}
+
+/// Provenance of one bench history record.
+fn record_meta(
+    smoke: bool,
+    widths: &[usize],
+    headline: usize,
+    backend: liquid_simd::BackendKind,
+) -> perfhist::RecordMeta {
+    perfhist::RecordMeta {
+        commit: perfhist::record::git_commit(std::path::Path::new(".")),
+        timestamp: perfhist::record::unix_now(),
+        host: perfhist::record::host_fingerprint(),
+        config_hash: format!("{:016x}", MachineConfig::liquid(headline).fingerprint()),
+        smoke,
+        widths: widths.to_vec(),
+        backend: backend.name().to_string(),
+    }
 }
 
 /// Expands the embedded kernelgen corpus, with the `--smoke` filter (the
@@ -1206,13 +1434,10 @@ fn gen_manifest(variants: &[liquid_simd_kernelgen::Variant]) -> String {
 
 /// `liquid-simd gen`: list, expand, emit, or conformance-check the
 /// generated kernel families.
-fn cmd_gen(args: &[String]) -> Result<(), String> {
+fn cmd_gen(args: &Args) -> Result<(), String> {
     use liquid_simd_kernelgen::Payload;
-    if flag(args, "--check") {
-        return cmd_gen_check(args);
-    }
-    let variants = gen_variants(flag(args, "--smoke"))?;
-    if let Some(wanted) = option_value(args, "--emit")? {
+    let variants = gen_variants(args.flag("--smoke"))?;
+    if let Some(wanted) = args.value("--emit") {
         let v = variants
             .iter()
             .find(|v| v.name == wanted)
@@ -1229,13 +1454,13 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    let text = if flag(args, "--expand") {
+    let text = if args.flag("--expand") {
         gen_manifest(&variants)
     } else {
         // --list (the default): names only.
         variants.iter().map(|v| format!("{}\n", v.name)).collect()
     };
-    match option_value(args, "--out")? {
+    match args.value("--out") {
         Some(path) => {
             fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("{path}: {} variants written", variants.len());
@@ -1254,9 +1479,8 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 
 /// `gen --check`: every corpus variant through the conform oracle, plus
 /// the abort-coverage gate (no reachable tag may go unexercised).
-fn cmd_gen_check(args: &[String]) -> Result<(), String> {
-    let jobs = parse_jobs(args)?;
-    let (outcomes, coverage) = liquid_simd_conform::families::check_corpus(jobs);
+fn cmd_gen_check(args: &Args) -> Result<(), String> {
+    let (outcomes, coverage) = liquid_simd_conform::families::check_corpus(args.jobs()?);
     let passed = outcomes.iter().filter(|o| o.passed).count();
     let failed = outcomes.len() - passed;
 
@@ -1281,11 +1505,11 @@ fn cmd_gen_check(args: &[String]) -> Result<(), String> {
     json.push_str(&liquid_simd_conform::coverage_to_json(&coverage, "  "));
     json.push_str("}\n");
 
-    if let Some(path) = option_value(args, "--out")? {
+    if let Some(path) = args.value("--out") {
         fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("{path}: written");
     }
-    if flag(args, "--json") {
+    if args.flag("--json") {
         print!("{json}");
     } else {
         println!(
@@ -1327,10 +1551,10 @@ fn cmd_gen_check(args: &[String]) -> Result<(), String> {
 /// wall-clock stays on stdout only, so the snapshot file is
 /// byte-identical run to run — `cmp` of two runs is the CI determinism
 /// gate.
-fn cmd_bench_families(args: &[String]) -> Result<(), String> {
+fn cmd_bench_families(args: &Args) -> Result<(), String> {
     use liquid_simd_kernelgen::Payload;
-    let smoke = flag(args, "--smoke");
-    let backend = parse_backend(args)?;
+    let smoke = args.flag("--smoke");
+    let backend = args.backend()?;
     let widths = if smoke {
         vec![2, 8]
     } else {
@@ -1341,8 +1565,7 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
     } else {
         *widths.last().unwrap()
     };
-    let out_path = option_value(args, "--out")?.unwrap_or("BENCH_sim.json");
-    let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
+    let out_path = args.value_or("--out", "BENCH_sim.json");
     let variants = gen_variants(smoke)?;
     let t0 = Instant::now();
 
@@ -1489,57 +1712,34 @@ fn cmd_bench_families(args: &[String]) -> Result<(), String> {
         t0.elapsed().as_secs_f64()
     );
 
-    if !flag(args, "--no-history") {
-        let meta = perfhist::RecordMeta {
-            commit: perfhist::record::git_commit(std::path::Path::new(".")),
-            timestamp: perfhist::record::unix_now(),
-            host: perfhist::record::host_fingerprint(),
-            config_hash: format!("{:016x}", MachineConfig::liquid(headline).fingerprint()),
-            smoke,
-            widths: widths.clone(),
-            backend: backend.name().to_string(),
-        };
+    if let Some(path) = history(args) {
+        let meta = record_meta(smoke, &widths, headline, backend);
         let wall = vec![("families_total_s".to_string(), t0.elapsed().as_secs_f64())];
         let record = perfhist::record::build_gen(&meta, &fam_rows, &wall);
-        perfhist::store::append(std::path::Path::new(history_path), &record)?;
+        perfhist::store::append(&path, &record)?;
         println!(
-            "{history_path}: appended perfhist-gen-v1 record for {}",
+            "{}: appended perfhist-gen-v1 record for {}",
+            path.display(),
             meta.commit
         );
     }
     Ok(())
 }
 
-fn parse_count(args: &[String], name: &str, default: usize) -> Result<usize, String> {
-    match option_value(args, name)? {
-        None => Ok(default),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad {name} `{v}` (need an integer >= 1)")),
-        },
-    }
-}
-
 /// `bench --serve`: the daemon load generator. Two passes over the same
 /// request multiset — one shard, then `--shards` — diffed byte for byte,
 /// with the translation-cache hit rate gated at 90%.
-fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
-    let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
+fn cmd_bench_serve(args: &Args) -> Result<(), String> {
     let opts = serve::loadgen::LoadOptions {
-        smoke: flag(args, "--smoke"),
-        backend: parse_backend(args)?,
-        clients: parse_count(args, "--clients", 4)?,
-        requests_per_client: match option_value(args, "--requests")? {
-            None => 0,
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad --requests `{v}` (need an integer)"))?,
-        },
-        shards: parse_count(args, "--shards", 8)?,
+        smoke: args.flag("--smoke"),
+        backend: args.backend()?,
+        clients: args.count("--clients", 4)?,
+        requests_per_client: args.uint("--requests", 0)? as usize,
+        shards: args.count("--shards", 8)?,
         min_hit_rate: 0.9,
-        history: (!flag(args, "--no-history")).then(|| std::path::PathBuf::from(history_path)),
+        history: history(args),
         seed: 0xC0FFEE,
-        measure_recorder: flag(args, "--measure-recorder"),
+        measure_recorder: args.flag("--measure-recorder"),
     };
     let report = serve::loadgen::run(&opts)?;
     println!(
@@ -1586,7 +1786,7 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
             report.shards,
             opts.backend.name()
         );
-        let out = option_value(args, "--out")?.unwrap_or("BENCH_sim.json");
+        let out = args.value_or("--out", "BENCH_sim.json");
         record_bench_note(out, &note)?;
         println!("{out}: recorder-overhead note recorded");
     }
@@ -1631,33 +1831,22 @@ fn record_bench_note(path: &str, note: &str) -> Result<(), String> {
 
 /// `liquid-simd serve`: bind the daemon and block until a `shutdown`
 /// request (or a bind/accept failure) stops it.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let addr = option_value(args, "--addr")?.unwrap_or("127.0.0.1:7070");
-    let shards = parse_count(args, "--shards", liquid_simd::default_jobs().clamp(1, 8))?;
-    let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
-    let flight_capacity = match option_value(args, "--flight-capacity")? {
-        None => liquid_simd_trace::DEFAULT_FLIGHT_CAPACITY,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --flight-capacity `{v}` (need an integer; 0 disables)"))?,
-    };
-    let cache_capacity = match option_value(args, "--cache-cap")? {
-        None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --cache-cap `{v}` (need an integer; 0 = unbounded)"))?,
-    };
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let shards = args.count("--shards", liquid_simd::default_jobs().clamp(1, 8))?;
     let opts = serve::ServeOptions {
-        addr: addr.to_string(),
+        addr: args.value_or("--addr", "127.0.0.1:7070").to_string(),
         shards,
-        history: (!flag(args, "--no-history")).then(|| std::path::PathBuf::from(history_path)),
-        history_every: parse_count(args, "--history-every", 64)?,
-        backend: parse_backend(args)?,
-        flight_capacity,
-        flight_dir: option_value(args, "--flight-dir")?.map(std::path::PathBuf::from),
-        inject_faults: flag(args, "--inject-faults"),
-        burst_threshold: parse_count(args, "--burst-threshold", 8)? as u64,
-        cache_capacity,
+        history: history(args),
+        history_every: args.count("--history-every", 64)?,
+        backend: args.backend()?,
+        flight_capacity: args.uint(
+            "--flight-capacity",
+            liquid_simd_trace::DEFAULT_FLIGHT_CAPACITY as u64,
+        )? as usize,
+        flight_dir: args.path("--flight-dir"),
+        inject_faults: args.flag("--inject-faults"),
+        burst_threshold: args.count("--burst-threshold", 8)? as u64,
+        cache_capacity: args.uint("--cache-cap", 0)? as usize,
     };
     if opts.inject_faults {
         eprintln!("liquid-simd serve: --inject-faults is on (test-only crash drills enabled)");
@@ -1922,14 +2111,14 @@ fn render_metrics_frame(
 
 /// `liquid-simd inspect`: one `metrics-v1` snapshot, rendered for humans
 /// (or raw/scrubbed JSON for scripts and byte-comparisons).
-fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let addr = option_value(args, "--addr")?.unwrap_or("127.0.0.1:7070");
+fn cmd_inspect(args: &Args) -> Result<(), String> {
+    let addr = args.value_or("--addr", "127.0.0.1:7070");
     let metrics = fetch_metrics(addr)?;
-    if flag(args, "--raw") {
+    if args.flag("--raw") {
         println!("{}", metrics.write());
         return Ok(());
     }
-    if flag(args, "--scrub") {
+    if args.flag("--scrub") {
         println!("{}", serve::inspect::scrub(&metrics).write());
         return Ok(());
     }
@@ -1942,26 +2131,14 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 /// `liquid-simd top`: poll `inspect` and redraw a plain-ANSI terminal
 /// frame — throughput from the delta between polls, p50/p95/p99, cache
 /// hit rate, abort tallies.
-fn cmd_top(args: &[String]) -> Result<(), String> {
-    let addr = option_value(args, "--addr")?.unwrap_or("127.0.0.1:7070");
-    let interval = match option_value(args, "--interval")? {
-        None => 2.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(s) if s > 0.0 => s,
-            _ => return Err(format!("bad --interval `{v}` (need seconds > 0)")),
-        },
-    };
-    let once = flag(args, "--once");
-    let frames = if once {
-        1
-    } else {
-        match option_value(args, "--count")? {
-            None => 0, // poll until the daemon goes away (or ctrl-c)
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => return Err(format!("bad --count `{v}` (need an integer >= 1)")),
-            },
-        }
+fn cmd_top(args: &Args) -> Result<(), String> {
+    let addr = args.value_or("--addr", "127.0.0.1:7070");
+    let interval = args.positive("--interval", 2.0)?;
+    let once = args.flag("--once");
+    let frames = match args.value("--count") {
+        _ if once => 1,
+        None => 0, // poll until the daemon goes away (or ctrl-c)
+        Some(_) => args.count("--count", 1)?,
     };
     let mut prev: Option<(Instant, u64)> = None;
     let mut drawn = 0usize;
@@ -1994,30 +2171,16 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_sentinel(args: &[String]) -> Result<(), String> {
-    let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
-    if flag(args, "--cross-backend") {
-        return cmd_sentinel_cross(args, history_path);
-    }
-    let mut opts = perfhist::SentinelOptions {
-        baseline_commit: option_value(args, "--baseline")?.map(str::to_string),
-        ..perfhist::SentinelOptions::default()
+fn cmd_sentinel(args: &Args) -> Result<(), String> {
+    let defaults = perfhist::SentinelOptions::default();
+    let opts = perfhist::SentinelOptions {
+        baseline_commit: args.value("--baseline").map(str::to_string),
+        window: args.count("--window", defaults.window)?,
+        noise_frac: args.positive("--noise-frac", defaults.noise_frac)?,
     };
-    if let Some(v) = option_value(args, "--window")? {
-        opts.window = match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --window `{v}` (need an integer >= 1)")),
-        };
-    }
-    if let Some(v) = option_value(args, "--noise-frac")? {
-        opts.noise_frac = match v.parse::<f64>() {
-            Ok(f) if f > 0.0 => f,
-            _ => return Err(format!("bad --noise-frac `{v}` (need a fraction > 0)")),
-        };
-    }
-    let history = perfhist::store::load(std::path::Path::new(history_path))?;
+    let history = perfhist::store::load(&history_path(args))?;
     let verdict = perfhist::sentinel::check(&history, &opts);
-    if flag(args, "--json") {
+    if args.flag("--json") {
         println!("{}", verdict.json.write());
     } else {
         render_verdict(&verdict.json);
@@ -2049,10 +2212,9 @@ fn cmd_sentinel(args: &[String]) -> Result<(), String> {
 /// bench records (same commit, same config) agree on every deterministic
 /// cycle count. The regular sentinel pairs baselines *within* a backend;
 /// this is the *between*-backend equality gate.
-fn cmd_sentinel_cross(args: &[String], history_path: &str) -> Result<(), String> {
-    let history = perfhist::store::load(std::path::Path::new(history_path))?;
-    let verdict = perfhist::cross_check(&history);
-    if flag(args, "--json") {
+fn cmd_sentinel_cross(args: &Args) -> Result<(), String> {
+    let verdict = perfhist::cross_check(&perfhist::store::load(&history_path(args))?);
+    if args.flag("--json") {
         println!("{}", verdict.json.write());
     } else {
         use perfhist::Json;
@@ -2189,12 +2351,12 @@ fn render_verdict(v: &perfhist::Json) {
     }
 }
 
-fn cmd_dashboard(args: &[String]) -> Result<(), String> {
-    let history_path = option_value(args, "--history")?.unwrap_or("bench/history.jsonl");
-    let out = option_value(args, "--out")?.unwrap_or("report.html");
-    let flame_workload = option_value(args, "--flame")?.unwrap_or("fir");
-    let history = if std::path::Path::new(history_path).exists() {
-        perfhist::store::load(std::path::Path::new(history_path))?
+fn cmd_dashboard(args: &Args) -> Result<(), String> {
+    let path = history_path(args);
+    let out = args.value_or("--out", "report.html");
+    let flame_workload = args.value_or("--flame", "fir");
+    let history = if path.exists() {
+        perfhist::store::load(&path)?
     } else {
         Vec::new()
     };
@@ -2207,7 +2369,7 @@ fn cmd_dashboard(args: &[String]) -> Result<(), String> {
     // --flight-dir (sorted by file name, i.e. dump order) and one
     // metrics-v1 snapshot file (an `inspect` response line works as-is).
     let mut dumps: Vec<(String, String)> = Vec::new();
-    if let Some(dir) = option_value(args, "--flight-dir")? {
+    if let Some(dir) = args.value("--flight-dir") {
         let entries = fs::read_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
         for entry in entries {
             let entry = entry.map_err(|e| format!("{dir}: {e}"))?;
@@ -2221,7 +2383,7 @@ fn cmd_dashboard(args: &[String]) -> Result<(), String> {
         }
         dumps.sort();
     }
-    let snapshot = match option_value(args, "--snapshot")? {
+    let snapshot = match args.value("--snapshot") {
         None => None,
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -2241,36 +2403,22 @@ fn cmd_dashboard(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_conform(args: &[String]) -> Result<(), String> {
-    let seed = match option_value(args, "--seed")? {
-        None => 0xC0FFEE,
-        Some(v) => {
-            let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                v.parse()
-            };
-            parsed.map_err(|_| format!("bad --seed `{v}`"))?
-        }
-    };
-    let cases = match option_value(args, "--cases")? {
-        None => 200,
-        Some(v) => v.parse().map_err(|_| format!("bad --cases `{v}`"))?,
-    };
+fn cmd_conform(args: &Args) -> Result<(), String> {
+    let seed = args.uint("--seed", 0xC0FFEE)?;
     let opts = liquid_simd_conform::ConformOptions {
         seed,
-        cases,
-        jobs: parse_jobs(args)?,
-        shrink: !flag(args, "--no-shrink"),
+        cases: args.uint("--cases", 200)?,
+        jobs: args.jobs()?,
+        shrink: !args.flag("--no-shrink"),
     };
     let report = liquid_simd_conform::run_conform(&opts);
 
     let json = liquid_simd_conform::report_to_json(&report);
-    if let Some(path) = option_value(args, "--out")? {
+    if let Some(path) = args.value("--out") {
         fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("{path}: written");
     }
-    if flag(args, "--json") {
+    if args.flag("--json") {
         print!("{json}");
     } else {
         let (passed, failed) = report.tally();
@@ -2297,7 +2445,7 @@ fn cmd_conform(args: &[String]) -> Result<(), String> {
     // Persist minimized failures so they can be promoted to regression
     // cases (and uploaded as CI artifacts).
     if !report.failures.is_empty() {
-        let dir = option_value(args, "--corpus-dir")?.unwrap_or("tests/corpus");
+        let dir = args.value_or("--corpus-dir", "tests/corpus");
         for f in &report.failures {
             let path = liquid_simd_conform::corpus::save(std::path::Path::new(dir), &f.case)
                 .map_err(|e| e.to_string())?;
@@ -2314,24 +2462,98 @@ fn cmd_conform(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn parse(line: &str) -> Result<Args, String> {
+        let words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_cli(&words)
+    }
+
+    fn cli(line: &str) -> Result<(), String> {
+        let words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        run_cli(&words)
+    }
+
     #[test]
     fn lanes_parsing() {
-        let a = |s: &str| vec!["--lanes".to_string(), s.to_string()];
-        assert_eq!(parse_lanes(&a("8")).unwrap(), 8);
-        assert_eq!(parse_lanes(&a("0")).unwrap(), 0);
-        assert_eq!(parse_lanes(&[]).unwrap(), 8);
-        assert!(parse_lanes(&a("3")).is_err());
-        assert!(parse_lanes(&a("32")).is_err());
-        assert!(parse_lanes(&a("x")).is_err());
+        let lanes = |line: &str| parse(line).and_then(|a| a.lanes());
+        assert_eq!(lanes("run t.s --lanes 8").unwrap(), 8);
+        assert_eq!(lanes("run t.s --lanes 0").unwrap(), 0);
+        assert_eq!(lanes("run t.s").unwrap(), 8);
+        assert!(lanes("run t.s --lanes 3").is_err());
+        assert!(lanes("run t.s --lanes 32").is_err());
+        assert!(lanes("run t.s --lanes x").is_err());
+        // The value is the flag's, not the operand: `t.s` runs at 4 lanes.
+        let args = parse("run --lanes 4 t.s").unwrap();
+        assert_eq!(args.operand(), "t.s");
+        assert_eq!(args.lanes().unwrap(), 4);
+        let err = parse("run t.s --lanes").err().unwrap();
+        assert!(err.contains("`--lanes` needs a value"), "{err}");
     }
 
     #[test]
     fn jobs_parsing() {
-        let a = |s: &str| vec!["--jobs".to_string(), s.to_string()];
-        assert_eq!(parse_jobs(&a("4")).unwrap(), 4);
-        assert!(parse_jobs(&a("0")).is_err());
-        assert!(parse_jobs(&a("x")).is_err());
-        assert!(parse_jobs(&[]).unwrap() >= 1);
+        let jobs = |line: &str| parse(line).and_then(|a| a.jobs());
+        assert_eq!(jobs("tables --jobs 4").unwrap(), 4);
+        assert!(jobs("tables --jobs 0").is_err());
+        assert!(jobs("tables --jobs x").is_err());
+        assert!(jobs("tables").unwrap() >= 1);
+        assert_eq!(jobs("conform --jobs 2 --seed 0xC0FFEE").unwrap(), 2);
+        let seed = parse("conform --seed 0xC0FFEE --cases 200").unwrap();
+        assert_eq!(seed.uint("--seed", 0).unwrap(), 0xC0FFEE);
+        assert_eq!(seed.uint("--cases", 0).unwrap(), 200);
+    }
+
+    #[test]
+    fn malformed_command_lines_error_naming_the_bad_token() {
+        for (line, token) in [
+            ("profile 179.art --width 16", "--width"),
+            ("conform --sed 3", "--sed"),
+            ("tables --smok", "--smok"),
+            ("bench --smok", "--smok"),
+            ("bench --serve --ledger", "--ledger"),
+            ("bench --families --jobs 2", "--jobs"),
+            ("run a.s b.s", "b.s"),
+            ("disasm --foo x.lsim", "--foo"),
+            ("diff a@w8 b@w8 c@w8", "c@w8"),
+        ] {
+            let err = cli(line).err().unwrap_or_else(|| panic!("`{line}` parsed"));
+            assert!(err.contains(&format!("`{token}`")), "{line}: {err}");
+        }
+        for line in ["run", "diff 179.art@w8", "asm"] {
+            let err = cli(line).err().unwrap();
+            assert!(err.contains("missing operand"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_mode_has_its_own_table() {
+        assert!(parse("bench --serve --smoke --clients 4 --shards 4 --measure-recorder").is_ok());
+        assert!(parse("bench --families --smoke --no-history --out x.json").is_ok());
+        assert!(parse("bench --smoke --jobs 2 --ledger --history h.jsonl").is_ok());
+        assert!(parse("gen --check --jobs 2 --json").is_ok());
+        assert!(parse("gen --check --smoke").is_err());
+        assert!(parse("sentinel --cross-backend --json").is_ok());
+        assert!(parse("sentinel --cross-backend --window 3").is_err());
+        for (i, cmd) in COMMANDS.iter().enumerate() {
+            let names: Vec<&str> = cmd.flags.iter().map(|f| f.0).collect();
+            let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+            assert_eq!(unique.len(), names.len(), "{} repeats a flag", cmd.name);
+            if let Some(m) = cmd.mode {
+                assert!(names.contains(&m), "{} {m} does not declare {m}", cmd.name);
+            } else {
+                // Nothing after a default row of the same command is reachable.
+                assert!(!COMMANDS[i + 1..].iter().any(|c| c.name == cmd.name));
+            }
+            for name in names {
+                assert!(usage().contains(name), "usage() omits {name}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not declare --nope")]
+    fn getters_reject_undeclared_flags() {
+        parse("tables").unwrap().flag("--nope");
     }
 
     #[test]

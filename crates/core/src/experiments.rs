@@ -2,13 +2,11 @@
 //! (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results).
 //!
-//! Every driver comes in two forms: the original serial name (`table5`,
-//! `figure6`, ...) and a `*_jobs` variant that fans the independent
-//! `(workload, width, mode)` simulation units across worker threads via
-//! [`crate::harness::run_tasks`]. The serial names are thin `jobs = 1`
-//! wrappers, and the parallel variants reassemble results in task order,
-//! so both produce identical rows — see `tests/parallel.rs` for the
-//! byte-identity check.
+//! Every driver takes a `jobs` count and fans its independent
+//! `(workload, width, mode)` simulation units across that many worker
+//! threads via [`crate::harness::run_tasks`], reassembling results in task
+//! order, so any job count produces identical rows — see
+//! `tests/parallel.rs` for the byte-identity check.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,21 +31,13 @@ pub struct Table5Row {
     pub max: usize,
 }
 
-/// Runs the Table 5 measurement (static sizes of outlined functions).
+/// Runs the Table 5 measurement (static sizes of outlined functions),
+/// compiling on `jobs` worker threads.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn table5(workloads: &[Workload]) -> Result<Vec<Table5Row>, VerifyError> {
-    table5_jobs(workloads, 1)
-}
-
-/// [`table5`] with the work spread over `jobs` worker threads.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn table5_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<Table5Row>, VerifyError> {
+pub fn table5(workloads: &[Workload], jobs: usize) -> Result<Vec<Table5Row>, VerifyError> {
     let cache = BuildCache::new(workloads, &[]);
     run_tasks(
         jobs,
@@ -96,21 +86,12 @@ pub struct Table6Row {
 
 /// Runs the Table 6 measurement on the scalar side of a Liquid machine
 /// (gaps are measured between the first two calls, i.e. while translation
-/// would be in flight).
+/// would be in flight), one simulation per worker-thread task.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn table6(workloads: &[Workload]) -> Result<Vec<Table6Row>, VerifyError> {
-    table6_jobs(workloads, 1)
-}
-
-/// [`table6`] with one simulation per worker-thread task.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn table6_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<Table6Row>, VerifyError> {
+pub fn table6(workloads: &[Workload], jobs: usize) -> Result<Vec<Table6Row>, VerifyError> {
     let cache = BuildCache::new(workloads, &[]);
     run_tasks(
         jobs,
@@ -175,34 +156,16 @@ pub struct Figure6Row {
     pub native: BTreeMap<usize, f64>,
 }
 
-impl Figure6Row {
-    /// The built-in-ISA-minus-liquid speedup difference at a width (the
-    /// paper's callout shows a worst case of about 0.001, for FIR).
-    #[must_use]
-    pub fn overhead(&self, width: usize) -> f64 {
-        self.pretranslated.get(&width).copied().unwrap_or(0.0)
-            - self.liquid.get(&width).copied().unwrap_or(0.0)
-    }
-}
-
-/// Runs the Figure 6 sweep.
+/// Runs the Figure 6 sweep, decomposed into `(workload, width, mode)`
+/// simulation units and fanned over `jobs` worker threads. This is the
+/// heaviest sweep in the repo — `1 + 3 * widths.len()` simulations per
+/// workload — and every unit is independent, so it scales until cores
+/// run out.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn figure6(workloads: &[Workload], widths: &[usize]) -> Result<Vec<Figure6Row>, VerifyError> {
-    figure6_jobs(workloads, widths, 1)
-}
-
-/// [`figure6`] decomposed into `(workload, width, mode)` simulation units
-/// and fanned over `jobs` worker threads. This is the heaviest sweep in
-/// the repo — `1 + 3 * widths.len()` simulations per workload — and every
-/// unit is independent, so it scales until cores run out.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn figure6_jobs(
+pub fn figure6(
     workloads: &[Workload],
     widths: &[usize],
     jobs: usize,
@@ -210,7 +173,7 @@ pub fn figure6_jobs(
     figure6_timed(workloads, widths, jobs, &|_| {}).map(|(rows, _)| rows)
 }
 
-/// [`figure6_jobs`] plus per-task wall-clock timing: the second element of
+/// [`figure6`] plus per-task wall-clock timing: the second element of
 /// the result names, for every simulation unit, which worker ran it and
 /// how long it took. `progress` streams each completed unit from its
 /// worker thread. Timings never feed back into the rows, so the
@@ -319,38 +282,20 @@ impl CodeSizeRow {
     /// Code-size overhead relative to the hot-loop-only binaries built
     /// here. Note these binaries *are* the hot loops: the paper's "< 1%"
     /// is measured against full SPEC/MediaBench applications, whose text
-    /// dwarfs the outlining additions — see [`CodeSizeRow::overhead_vs_app`].
+    /// dwarfs the outlining additions (EXPERIMENTS.md divides the same
+    /// byte delta by a 256 KiB application text).
     #[must_use]
     pub fn overhead(&self) -> f64 {
         (self.liquid_bytes as f64 - self.plain_bytes as f64) / self.plain_bytes as f64
     }
-
-    /// The same absolute overhead expressed against a realistic
-    /// application text size (the paper's measurement baseline).
-    #[must_use]
-    pub fn overhead_vs_app(&self, app_text_bytes: usize) -> f64 {
-        (self.liquid_bytes as f64 - self.plain_bytes as f64) / app_text_bytes as f64
-    }
 }
 
-/// Runs the code-size comparison.
+/// Runs the code-size comparison, compiling on `jobs` worker threads.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn code_size(workloads: &[Workload]) -> Result<Vec<CodeSizeRow>, VerifyError> {
-    code_size_jobs(workloads, 1)
-}
-
-/// [`code_size`] with compilation spread over `jobs` worker threads.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile.
-pub fn code_size_jobs(
-    workloads: &[Workload],
-    jobs: usize,
-) -> Result<Vec<CodeSizeRow>, VerifyError> {
+pub fn code_size(workloads: &[Workload], jobs: usize) -> Result<Vec<CodeSizeRow>, VerifyError> {
     let cache = BuildCache::new(workloads, &[]);
     run_tasks(
         jobs,
@@ -400,21 +345,12 @@ pub struct McacheRow {
 }
 
 /// Runs the microcode-cache working-set measurement at the paper's 8x64
-/// geometry.
+/// geometry, one simulation per worker-thread task.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn mcache(workloads: &[Workload]) -> Result<Vec<McacheRow>, VerifyError> {
-    mcache_jobs(workloads, 1)
-}
-
-/// [`mcache`] with one simulation per worker-thread task.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn mcache_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<McacheRow>, VerifyError> {
+pub fn mcache(workloads: &[Workload], jobs: usize) -> Result<Vec<McacheRow>, VerifyError> {
     let cache = BuildCache::new(workloads, &[]);
     run_tasks(
         jobs,
@@ -473,25 +409,13 @@ pub struct LatencyAblationRow {
     pub cycles_by_cost: BTreeMap<u64, u64>,
 }
 
-/// Runs the translation-latency ablation at 8 lanes.
+/// Runs the translation-latency ablation at 8 lanes, decomposed into
+/// `(workload, cost)` simulation units fanned over `jobs` worker threads.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
 pub fn ablation_latency(
-    workloads: &[Workload],
-    costs: &[u64],
-) -> Result<Vec<LatencyAblationRow>, VerifyError> {
-    ablation_latency_jobs(workloads, costs, 1)
-}
-
-/// [`ablation_latency`] decomposed into `(workload, cost)` simulation
-/// units and fanned over `jobs` worker threads.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn ablation_latency_jobs(
     workloads: &[Workload],
     costs: &[u64],
     jobs: usize,
@@ -536,25 +460,13 @@ pub struct JitAblationRow {
     pub jit_cycles: u64,
 }
 
-/// Runs the hardware-vs-JIT ablation at 8 lanes.
+/// Runs the hardware-vs-JIT ablation at 8 lanes, decomposed into
+/// `(workload, translator-kind)` units fanned over `jobs` worker threads.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
 pub fn ablation_jit(
-    workloads: &[Workload],
-    jit_cost: u64,
-) -> Result<Vec<JitAblationRow>, VerifyError> {
-    ablation_jit_jobs(workloads, jit_cost, 1)
-}
-
-/// [`ablation_jit`] decomposed into `(workload, translator-kind)` units
-/// and fanned over `jobs` worker threads.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn ablation_jit_jobs(
     workloads: &[Workload],
     jit_cost: u64,
     jobs: usize,
@@ -608,23 +520,26 @@ impl OverheadCallout {
 }
 
 /// Runs the overhead callout on a (typically high-repetition) workload at
-/// 8 lanes.
+/// 8 lanes: its baseline, liquid and built-in runs fanned over `jobs`
+/// worker threads.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if the workload fails to compile or simulate.
-pub fn overhead_callout(w: &Workload) -> Result<OverheadCallout, VerifyError> {
-    let workloads = std::slice::from_ref(w);
-    let cache = BuildCache::new(workloads, &[]);
-    let plain = cache.plain(0)?;
-    let base = crate::run(&plain.program, MachineConfig::scalar_only())?;
-    let b = cache.liquid(0)?;
-    let liquid = crate::run(&b.program, MachineConfig::liquid(8))?;
-    let builtin = crate::run_pretranslated(&b.program, MachineConfig::liquid(8))?;
+pub fn overhead_callout(w: &Workload, jobs: usize) -> Result<OverheadCallout, VerifyError> {
+    let cache = BuildCache::new(std::slice::from_ref(w), &[]);
+    let cycles = run_tasks(jobs, 3, |unit| -> Result<u64, VerifyError> {
+        let out = match unit {
+            0 => crate::run(&cache.plain(0)?.program, MachineConfig::scalar_only())?,
+            1 => crate::run(&cache.liquid(0)?.program, MachineConfig::liquid(8))?,
+            _ => crate::run_pretranslated(&cache.liquid(0)?.program, MachineConfig::liquid(8))?,
+        };
+        Ok(out.report.cycles)
+    })?;
     Ok(OverheadCallout {
         benchmark: w.name.clone(),
-        liquid_speedup: base.report.cycles as f64 / liquid.report.cycles as f64,
-        builtin_speedup: base.report.cycles as f64 / builtin.report.cycles as f64,
+        liquid_speedup: cycles[0] as f64 / cycles[1] as f64,
+        builtin_speedup: cycles[0] as f64 / cycles[2] as f64,
     })
 }
 
@@ -652,25 +567,17 @@ impl MetricsRow {
 }
 
 /// Runs each workload's Liquid binary at 8 lanes with a tracer attached
-/// and returns the captured per-benchmark metrics.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn metrics(workloads: &[Workload]) -> Result<Vec<MetricsRow>, VerifyError> {
-    metrics_jobs(workloads, 1)
-}
-
-/// [`metrics`] with one traced simulation per worker-thread task. The
-/// tracer handle is not `Send` (`Rc`-based), so each task creates its own
-/// tracer and ships back only the plain-data [`Metrics`] registry.
+/// and returns the captured per-benchmark metrics, one traced simulation
+/// per worker-thread task. The tracer handle is not `Send` (`Rc`-based),
+/// so each task creates its own tracer and ships back only the plain-data
+/// [`Metrics`] registry.
 ///
 /// [`Metrics`]: liquid_simd_trace::Metrics
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn metrics_jobs(workloads: &[Workload], jobs: usize) -> Result<Vec<MetricsRow>, VerifyError> {
+pub fn metrics(workloads: &[Workload], jobs: usize) -> Result<Vec<MetricsRow>, VerifyError> {
     let cache = BuildCache::new(workloads, &[]);
     run_tasks(
         jobs,

@@ -14,27 +14,26 @@ fn render<T: std::fmt::Display>(rows: &[T]) -> String {
 fn figure6_is_identical_at_any_job_count_and_stable_across_runs() {
     let workloads = liquid_simd_workloads::smoke();
     let widths = [2usize, 8];
-    let serial = render(&experiments::figure6_jobs(&workloads, &widths, 1).expect("serial"));
+    let serial = render(&experiments::figure6(&workloads, &widths, 1).expect("serial"));
     assert!(!serial.is_empty());
     for jobs in [2, 8] {
-        let parallel =
-            render(&experiments::figure6_jobs(&workloads, &widths, jobs).expect("parallel"));
+        let parallel = render(&experiments::figure6(&workloads, &widths, jobs).expect("parallel"));
         assert_eq!(serial, parallel, "figure6 diverged at jobs={jobs}");
     }
     // Repeated parallel runs: same bytes again (no run-to-run drift).
-    let again = render(&experiments::figure6_jobs(&workloads, &widths, 8).expect("repeat"));
+    let again = render(&experiments::figure6(&workloads, &widths, 8).expect("repeat"));
     assert_eq!(serial, again, "figure6 unstable across repeated runs");
 }
 
 #[test]
 fn table5_and_table6_are_identical_at_any_job_count() {
     let workloads = liquid_simd_workloads::smoke();
-    let t5_serial = render(&experiments::table5_jobs(&workloads, 1).expect("t5 serial"));
-    let t5_parallel = render(&experiments::table5_jobs(&workloads, 8).expect("t5 parallel"));
+    let t5_serial = render(&experiments::table5(&workloads, 1).expect("t5 serial"));
+    let t5_parallel = render(&experiments::table5(&workloads, 8).expect("t5 parallel"));
     assert_eq!(t5_serial, t5_parallel);
 
-    let t6_serial = render(&experiments::table6_jobs(&workloads, 1).expect("t6 serial"));
-    let t6_parallel = render(&experiments::table6_jobs(&workloads, 8).expect("t6 parallel"));
+    let t6_serial = render(&experiments::table6(&workloads, 1).expect("t6 serial"));
+    let t6_parallel = render(&experiments::table6(&workloads, 8).expect("t6 parallel"));
     assert_eq!(t6_serial, t6_parallel);
 }
 
@@ -42,21 +41,21 @@ fn table5_and_table6_are_identical_at_any_job_count() {
 fn remaining_drivers_are_identical_at_any_job_count() {
     let workloads = liquid_simd_workloads::smoke();
 
-    let serial = render(&experiments::code_size_jobs(&workloads, 1).expect("serial"));
-    let parallel = render(&experiments::code_size_jobs(&workloads, 4).expect("parallel"));
+    let serial = render(&experiments::code_size(&workloads, 1).expect("serial"));
+    let parallel = render(&experiments::code_size(&workloads, 4).expect("parallel"));
     assert_eq!(serial, parallel, "code_size diverged");
 
-    let serial = render(&experiments::mcache_jobs(&workloads, 1).expect("serial"));
-    let parallel = render(&experiments::mcache_jobs(&workloads, 4).expect("parallel"));
+    let serial = render(&experiments::mcache(&workloads, 1).expect("serial"));
+    let parallel = render(&experiments::mcache(&workloads, 4).expect("parallel"));
     assert_eq!(serial, parallel, "mcache diverged");
 
-    let serial = render(&experiments::metrics_jobs(&workloads, 1).expect("serial"));
-    let parallel = render(&experiments::metrics_jobs(&workloads, 4).expect("parallel"));
+    let serial = render(&experiments::metrics(&workloads, 1).expect("serial"));
+    let parallel = render(&experiments::metrics(&workloads, 4).expect("parallel"));
     assert_eq!(serial, parallel, "metrics diverged");
 
     let costs = [1u64, 40];
-    let serial = experiments::ablation_latency_jobs(&workloads, &costs, 1).expect("serial");
-    let parallel = experiments::ablation_latency_jobs(&workloads, &costs, 4).expect("parallel");
+    let serial = experiments::ablation_latency(&workloads, &costs, 1).expect("serial");
+    let parallel = experiments::ablation_latency(&workloads, &costs, 4).expect("parallel");
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(
             s.cycles_by_cost, p.cycles_by_cost,
@@ -65,8 +64,8 @@ fn remaining_drivers_are_identical_at_any_job_count() {
         );
     }
 
-    let serial = experiments::ablation_jit_jobs(&workloads, 40, 1).expect("serial");
-    let parallel = experiments::ablation_jit_jobs(&workloads, 40, 4).expect("parallel");
+    let serial = experiments::ablation_jit(&workloads, 40, 1).expect("serial");
+    let parallel = experiments::ablation_jit(&workloads, 40, 4).expect("parallel");
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(
             (s.hw_cycles, s.jit_cycles),
@@ -75,6 +74,15 @@ fn remaining_drivers_are_identical_at_any_job_count() {
             s.benchmark
         );
     }
+
+    let fir = liquid_simd_workloads::fir();
+    let serial = experiments::overhead_callout(&fir, 1).expect("serial");
+    let parallel = experiments::overhead_callout(&fir, 3).expect("parallel");
+    assert_eq!(
+        (serial.liquid_speedup, serial.builtin_speedup),
+        (parallel.liquid_speedup, parallel.builtin_speedup),
+        "callout diverged"
+    );
 }
 
 #[test]

@@ -160,6 +160,23 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_tag_the_backend() {
+        let sb = snapshot(&RunReport {
+            cycles: 500,
+            backend: liquid_simd_sim::BackendKind::Superblock,
+            ..Default::default()
+        });
+        assert_eq!(sb["backend.superblock.runs"], 1);
+        assert_eq!(sb["backend.superblock.cycles"], 500);
+        assert!(!sb.contains_key("backend.interp.runs"));
+        // Merging runs from different backends keeps both tags.
+        let mut merged = sb;
+        merge(&mut merged, &snapshot(&RunReport::default()));
+        assert_eq!(merged["backend.superblock.runs"], 1);
+        assert_eq!(merged["backend.interp.runs"], 1);
+    }
+
+    #[test]
     fn ledger_runs_emit_category_counters() {
         let mut ledger = liquid_simd_sim::Ledger::new();
         ledger.charge(7, 9, liquid_simd_sim::LedgerCategory::VectorExecute, 64);

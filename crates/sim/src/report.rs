@@ -62,11 +62,12 @@ impl BlockStats {
         }
     }
 
-    /// Records the counters into a trace-metrics registry under dotted
-    /// `blocks.*` names — the canonical spelling every observability
-    /// surface shares (perfhist counters, `explain --json`, the dashboard
-    /// delta table).
-    pub fn record_metrics(&self, m: &mut liquid_simd_trace::Metrics) {
+    /// The counters as a trace-metrics registry under dotted `blocks.*`
+    /// names — the canonical spelling every observability surface shares
+    /// (perfhist counters, `explain --json`, the dashboard delta table).
+    #[must_use]
+    pub fn metrics(&self) -> liquid_simd_trace::Metrics {
+        let mut m = liquid_simd_trace::Metrics::new();
         m.add("blocks.lowered", self.lowered);
         m.add("blocks.lowered_instrs", self.lowered_instrs);
         m.add("blocks.cache_hits", self.hits);
@@ -77,13 +78,6 @@ impl BlockStats {
         m.add("blocks.fallback.translator", self.fallback_translator);
         m.add("blocks.fallback.interrupts", self.fallback_interrupts);
         m.add("blocks.fallback.control", self.fallback_control);
-    }
-
-    /// The `blocks.*` counters as a fresh registry (see [`Self::record_metrics`]).
-    #[must_use]
-    pub fn metrics(&self) -> liquid_simd_trace::Metrics {
-        let mut m = liquid_simd_trace::Metrics::new();
-        self.record_metrics(&mut m);
         m
     }
 }
@@ -227,41 +221,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Records the report's headline counters into a trace-metrics
-    /// registry: cycles and retire mix under their canonical dotted names,
-    /// the backend that executed the run as a `backend.<name>.runs` count
-    /// (so a registry merged across many runs — or across serve shards —
-    /// shows how work split between backends), and the `blocks.*`
-    /// telemetry via [`BlockStats::record_metrics`].
-    pub fn record_metrics(&self, m: &mut liquid_simd_trace::Metrics) {
-        m.add("cycles", self.cycles);
-        m.add("retired", self.retired);
-        m.add("retired.scalar", self.scalar_retired);
-        m.add("retired.vector", self.vector_retired);
-        m.add("lanes.ops", self.lane_ops);
-        m.add(&format!("backend.{}.runs", self.backend.name()), 1);
-        m.add(
-            &format!("backend.{}.cycles", self.backend.name()),
-            self.cycles,
-        );
-        self.blocks.record_metrics(m);
-        if let Some(ledger) = &self.ledger {
-            for (cat, bucket) in ledger.category_totals() {
-                m.add(&format!("ledger.{}.cycles", cat.name()), bucket.cycles);
-                m.add(&format!("ledger.{}.events", cat.name()), bucket.events);
-            }
-        }
-    }
-
-    /// The headline counters as a fresh registry (see
-    /// [`Self::record_metrics`]).
-    #[must_use]
-    pub fn metrics(&self) -> liquid_simd_trace::Metrics {
-        let mut m = liquid_simd_trace::Metrics::new();
-        self.record_metrics(&mut m);
-        m
-    }
-
     /// Cycles between the first two calls of `target` (paper Table 6).
     #[must_use]
     pub fn first_call_gap(&self, target: u32) -> Option<u64> {
@@ -327,28 +286,6 @@ mod tests {
         assert_eq!(m.with_prefix("blocks.").len(), 10);
         assert!((b.avg_block_len() - 5.0).abs() < 1e-12);
         assert_eq!(b.fallbacks(), 14);
-    }
-
-    #[test]
-    fn run_report_metrics_tag_the_backend() {
-        let r = RunReport {
-            cycles: 500,
-            retired: 100,
-            scalar_retired: 60,
-            vector_retired: 40,
-            backend: BackendKind::Superblock,
-            ..RunReport::default()
-        };
-        let m = r.metrics();
-        assert_eq!(m.counter("cycles"), 500);
-        assert_eq!(m.counter("backend.superblock.runs"), 1);
-        assert_eq!(m.counter("backend.superblock.cycles"), 500);
-        assert_eq!(m.counter("backend.interp.runs"), 0);
-        // Merging two runs from different backends keeps both tags.
-        let mut merged = m;
-        merged.merge(&RunReport::default().metrics());
-        assert_eq!(merged.counter("backend.superblock.runs"), 1);
-        assert_eq!(merged.counter("backend.interp.runs"), 1);
     }
 
     #[test]
