@@ -12,8 +12,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::Json;
 use crate::record::{GEN_SCHEMA, SCHEMA, SERVE_SCHEMA};
+use crate::Json;
 
 /// Ordinal blue ramp for the width series (steps 250/400/500/600 of the
 /// sequential ramp — legal nearest-surface step in both modes).
@@ -1355,7 +1355,7 @@ mod tests {
     #[test]
     fn dashboard_is_self_contained() {
         let mut second = sample_record();
-        second.set("commit", Json::Str("def456".to_string()));
+        second.set("commit", "def456".into());
         second.set(
             "counters",
             Json::parse(r#"{"cycles":250,"mcache.hits":9}"#).unwrap(),

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::Json;
 
 /// The record schema tag this crate writes.
 pub const SCHEMA: &str = "perfhist-v1";
@@ -84,66 +84,48 @@ pub fn build(
     counters: &BTreeMap<String, u64>,
     wall: &[(String, f64)],
 ) -> Json {
-    let mut rec = Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-        ("commit".to_string(), Json::Str(meta.commit.clone())),
-        ("timestamp".to_string(), Json::u64(meta.timestamp)),
-        ("host".to_string(), Json::Str(meta.host.clone())),
-        (
-            "config_hash".to_string(),
-            Json::Str(meta.config_hash.clone()),
-        ),
-        ("smoke".to_string(), Json::Bool(meta.smoke)),
-        (
-            "widths".to_string(),
-            Json::Arr(meta.widths.iter().map(|&w| Json::u64(w as u64)).collect()),
-        ),
-        ("backend".to_string(), Json::Str(meta.backend.clone())),
-    ]);
-    let rows = workloads
-        .iter()
-        .map(|w| {
-            let mut row = Json::Obj(vec![
-                ("name".to_string(), Json::Str(w.name.clone())),
-                ("baseline_cycles".to_string(), Json::u64(w.baseline_cycles)),
-                ("sim_cycles".to_string(), Json::u64(w.sim_cycles)),
-            ]);
-            row.set(
-                "cycles_by_width",
-                Json::Obj(
-                    w.cycles_by_width
-                        .iter()
-                        .map(|&(width, cycles)| (width.to_string(), Json::u64(cycles)))
-                        .collect(),
-                ),
-            );
-            if let Some(ledger) = &w.ledger {
-                row.set("ledger", ledger.clone());
-            }
-            row.set("wall_s", Json::f64(w.wall_s));
-            row.set("sim_cycles_per_sec", Json::f64(w.cycles_per_sec));
-            row
-        })
-        .collect();
-    rec.set("workloads", Json::Arr(rows));
-    rec.set(
-        "counters",
-        Json::Obj(
-            counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::u64(v)))
-                .collect(),
-        ),
-    );
-    rec.set(
-        "wall",
-        Json::Obj(
-            wall.iter()
-                .map(|(k, v)| (k.clone(), Json::f64(*v)))
-                .collect(),
-        ),
-    );
+    let mut rec = meta_json(SCHEMA, meta);
+    let rows = workloads.iter().map(|w| {
+        let by_width = w
+            .cycles_by_width
+            .iter()
+            .map(|&(n, c)| (n.to_string(), c.into()));
+        let mut row = vec![
+            ("name", w.name.as_str().into()),
+            ("baseline_cycles", w.baseline_cycles.into()),
+            ("sim_cycles", w.sim_cycles.into()),
+            ("cycles_by_width", Json::obj(by_width)),
+        ];
+        if let Some(ledger) = &w.ledger {
+            row.push(("ledger", ledger.clone()));
+        }
+        row.push(("wall_s", Json::f64(w.wall_s)));
+        row.push(("sim_cycles_per_sec", Json::f64(w.cycles_per_sec)));
+        Json::obj(row)
+    });
+    rec.set("workloads", rows.collect());
+    let counters = counters.iter().map(|(k, &v)| (k.as_str(), v.into()));
+    rec.set("counters", Json::obj(counters));
+    rec.set("wall", wall_json(wall));
     rec
+}
+
+/// The provenance members every history record starts with.
+fn meta_json(schema: &str, meta: &RecordMeta) -> Json {
+    Json::obj([
+        ("schema", schema.into()),
+        ("commit", meta.commit.as_str().into()),
+        ("timestamp", meta.timestamp.into()),
+        ("host", meta.host.as_str().into()),
+        ("config_hash", meta.config_hash.as_str().into()),
+        ("smoke", meta.smoke.into()),
+        ("widths", meta.widths.iter().copied().collect()),
+        ("backend", meta.backend.as_str().into()),
+    ])
+}
+
+fn wall_json(wall: &[(String, f64)]) -> Json {
+    Json::obj(wall.iter().map(|(k, v)| (k.as_str(), Json::f64(*v))))
 }
 
 /// One generated family's summary inside a [`GEN_SCHEMA`] record. All
@@ -181,53 +163,20 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// Builds a `perfhist-gen-v1` record from per-family summaries.
 #[must_use]
 pub fn build_gen(meta: &RecordMeta, families: &[FamilyRow], wall: &[(String, f64)]) -> Json {
-    let mut rec = Json::Obj(vec![
-        ("schema".to_string(), Json::Str(GEN_SCHEMA.to_string())),
-        ("commit".to_string(), Json::Str(meta.commit.clone())),
-        ("timestamp".to_string(), Json::u64(meta.timestamp)),
-        ("host".to_string(), Json::Str(meta.host.clone())),
-        (
-            "config_hash".to_string(),
-            Json::Str(meta.config_hash.clone()),
-        ),
-        ("smoke".to_string(), Json::Bool(meta.smoke)),
-        (
-            "widths".to_string(),
-            Json::Arr(meta.widths.iter().map(|&w| Json::u64(w as u64)).collect()),
-        ),
-        ("backend".to_string(), Json::Str(meta.backend.clone())),
-    ]);
-    let rows = families
-        .iter()
-        .map(|f| {
-            let mut row = Json::Obj(vec![
-                ("family".to_string(), Json::Str(f.family.clone())),
-                ("variants".to_string(), Json::u64(f.variants)),
-            ]);
-            row.set("speedup_p10", Json::f64(f.speedup_p10));
-            row.set("speedup_p50", Json::f64(f.speedup_p50));
-            row.set("speedup_p90", Json::f64(f.speedup_p90));
-            row.set(
-                "aborts",
-                Json::Obj(
-                    f.aborts
-                        .iter()
-                        .map(|(tag, n)| (tag.clone(), Json::u64(*n)))
-                        .collect(),
-                ),
-            );
-            row
-        })
-        .collect();
-    rec.set("families", Json::Arr(rows));
-    rec.set(
-        "wall",
-        Json::Obj(
-            wall.iter()
-                .map(|(k, v)| (k.clone(), Json::f64(*v)))
-                .collect(),
-        ),
-    );
+    let mut rec = meta_json(GEN_SCHEMA, meta);
+    let rows = families.iter().map(|f| {
+        let aborts = f.aborts.iter().map(|(tag, n)| (tag.as_str(), (*n).into()));
+        Json::obj([
+            ("family", f.family.as_str().into()),
+            ("variants", f.variants.into()),
+            ("speedup_p10", Json::f64(f.speedup_p10)),
+            ("speedup_p50", Json::f64(f.speedup_p50)),
+            ("speedup_p90", Json::f64(f.speedup_p90)),
+            ("aborts", Json::obj(aborts)),
+        ])
+    });
+    rec.set("families", rows.collect());
+    rec.set("wall", wall_json(wall));
     rec
 }
 

@@ -1,13 +1,13 @@
 //! The append-only history store: `bench/history.jsonl`, one record per
 //! line. Appending never rewrites existing bytes; loading preserves each
-//! record exactly (see [`crate::json`]), so `append → load → re-serialize`
-//! is byte-identical — including records written by future schema
+//! record exactly (see [`liquid_simd_trace::json`]), so
+//! `append → load → re-serialize` is byte-identical — including records written by future schema
 //! versions this build knows nothing about.
 
 use std::io::Write as _;
 use std::path::Path;
 
-use crate::json::Json;
+use crate::Json;
 
 /// Appends one record as a single JSONL line, creating the file (and its
 /// parent directory) on first use.

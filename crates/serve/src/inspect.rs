@@ -51,18 +51,12 @@ pub fn latency_bounds() -> Vec<u64> {
 /// longer than bounds — the overflow bucket), and the exact aggregates.
 #[must_use]
 pub fn histogram_json(h: &Histogram) -> Json {
-    Json::Obj(vec![
-        (
-            "bounds".to_string(),
-            Json::Arr(h.bounds().iter().map(|&b| Json::u64(b)).collect()),
-        ),
-        (
-            "counts".to_string(),
-            Json::Arr(h.bucket_counts().iter().map(|&c| Json::u64(c)).collect()),
-        ),
-        ("count".to_string(), Json::u64(h.count())),
-        ("sum".to_string(), Json::u64(h.sum())),
-        ("max".to_string(), Json::u64(h.max())),
+    Json::obj([
+        ("bounds", h.bounds().iter().copied().collect()),
+        ("counts", h.bucket_counts().iter().copied().collect()),
+        ("count", Json::u64(h.count())),
+        ("sum", Json::u64(h.sum())),
+        ("max", Json::u64(h.max())),
     ])
 }
 

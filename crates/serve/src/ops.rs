@@ -250,17 +250,11 @@ pub fn execute_with_backend(
                 proto::ok_body(
                     Op::Translate,
                     vec![
-                        ("name".to_string(), Json::Str(display_name.to_string())),
-                        ("output".to_string(), Json::Str(text)),
-                        ("cycles".to_string(), Json::u64(report.cycles)),
-                        (
-                            "regions".to_string(),
-                            Json::u64(report.translations.len() as u64),
-                        ),
-                        (
-                            "aborted".to_string(),
-                            Json::u64(report.translator.aborted()),
-                        ),
+                        ("name", display_name.into()),
+                        ("output", Json::Str(text)),
+                        ("cycles", Json::u64(report.cycles)),
+                        ("regions", Json::u64(report.translations.len() as u64)),
+                        ("aborted", Json::u64(report.translator.aborted())),
                     ],
                 ),
                 &report,
@@ -298,10 +292,10 @@ pub fn execute_with_backend(
                         proto::ok_body(
                             Op::Run,
                             vec![
-                                ("name".to_string(), Json::Str(display_name.to_string())),
-                                ("output".to_string(), Json::Str(text)),
-                                ("cycles".to_string(), Json::u64(report.cycles)),
-                                ("retired".to_string(), Json::u64(report.retired)),
+                                ("name", display_name.into()),
+                                ("output", Json::Str(text)),
+                                ("cycles", Json::u64(report.cycles)),
+                                ("retired", Json::u64(report.retired)),
                             ],
                         ),
                         &report,
@@ -326,10 +320,7 @@ pub fn execute_with_backend(
                     };
                     OpOutput::ok_plain(proto::ok_body(
                         Op::Explain,
-                        vec![
-                            ("name".to_string(), Json::Str(display_name.to_string())),
-                            ("output".to_string(), Json::Str(text)),
-                        ],
+                        vec![("name", display_name.into()), ("output", Json::Str(text))],
                     ))
                 }
                 Err(e) => OpOutput::err(Op::Explain, "sim-error", &e.to_string()),
@@ -349,12 +340,12 @@ pub fn execute_with_backend(
                     Op::Conform,
                     vec![
                         (
-                            "output".to_string(),
+                            "output",
                             Json::Str(liquid_simd_conform::report_to_json(&report)),
                         ),
-                        ("cases".to_string(), Json::u64(report.cases.len() as u64)),
-                        ("passed".to_string(), Json::u64(passed)),
-                        ("failed".to_string(), Json::u64(failed)),
+                        ("cases", Json::u64(report.cases.len() as u64)),
+                        ("passed", Json::u64(passed)),
+                        ("failed", Json::u64(failed)),
                     ],
                 ),
                 ok: report.passed(),

@@ -295,28 +295,24 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Builds a successful response body **without** the request id: the
 /// cacheable part. `fields` follow `schema`/`op`/`ok` in order.
 #[must_use]
-pub fn ok_body(op: Op, fields: Vec<(String, Json)>) -> String {
-    let mut pairs = vec![
-        ("schema".to_string(), Json::Str(OK_SCHEMA.to_string())),
-        ("op".to_string(), Json::Str(op.name().to_string())),
-        ("ok".to_string(), Json::Bool(true)),
+pub fn ok_body(op: Op, fields: Vec<(&str, Json)>) -> String {
+    let head = [
+        ("schema", OK_SCHEMA.into()),
+        ("op", op.name().into()),
+        ("ok", true.into()),
     ];
-    pairs.extend(fields);
-    Json::Obj(pairs).write()
+    Json::obj(head.into_iter().chain(fields)).write()
 }
 
 /// Builds a `serve-err-v1` response body without the request id.
 #[must_use]
 pub fn err_body(op: Option<Op>, kind: &str, error: &str) -> String {
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(ERR_SCHEMA.to_string())),
-        (
-            "op".to_string(),
-            op.map_or(Json::Null, |o| Json::Str(o.name().to_string())),
-        ),
-        ("ok".to_string(), Json::Bool(false)),
-        ("kind".to_string(), Json::Str(kind.to_string())),
-        ("error".to_string(), Json::Str(error.to_string())),
+    Json::obj([
+        ("schema", ERR_SCHEMA.into()),
+        ("op", op.map(Op::name).into()),
+        ("ok", false.into()),
+        ("kind", kind.into()),
+        ("error", error.into()),
     ])
     .write()
 }
@@ -433,10 +429,7 @@ mod tests {
 
     #[test]
     fn id_splice_is_exact_and_bodies_round_trip() {
-        let body = ok_body(
-            Op::Run,
-            vec![("output".to_string(), Json::Str("x\n".to_string()))],
-        );
+        let body = ok_body(Op::Run, vec![("output", Json::Str("x\n".to_string()))]);
         assert_eq!(
             body,
             r#"{"schema":"serve-v1","op":"run","ok":true,"output":"x\n"}"#
@@ -447,7 +440,7 @@ mod tests {
             r#"{"schema":"serve-v1","op":"run","ok":true,"output":"x\n","id":7}"#
         );
         Json::parse(&with_num).unwrap();
-        let with_str = with_id(&body, Some(&Json::Str("c1-r2".to_string())));
+        let with_str = with_id(&body, Some(&"c1-r2".into()));
         assert!(with_str.ends_with(r#""id":"c1-r2"}"#));
         Json::parse(&with_str).unwrap();
         assert_eq!(with_id(&body, None), body);

@@ -15,6 +15,7 @@
 //! count, on any host.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use liquid_simd_perfhist::{record, Json, SERVE_SCHEMA};
 
@@ -84,72 +85,47 @@ pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determ
     } else {
         0.0
     };
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SERVE_SCHEMA.to_string())),
+    let by_op = batch.by_op.iter().map(|(k, &v)| (k.as_str(), v.into()));
+    let batch_json = [
+        ("requests", batch.requests.into()),
+        ("errors", batch.errors.into()),
+        ("by_op", Json::obj(by_op)),
+    ];
+    let cache_json = [
+        ("hits", cache.hits.into()),
+        ("misses", cache.misses.into()),
+        ("entries", cache.entries.into()),
+        ("hit_rate", Json::f64(hit_rate)),
+    ];
+    let determinism = [
         (
-            "commit".to_string(),
-            Json::Str(record::git_commit(std::path::Path::new("."))),
-        ),
-        ("timestamp".to_string(), Json::u64(record::unix_now())),
-        ("host".to_string(), Json::Str(record::host_fingerprint())),
-        ("shards".to_string(), Json::u64(shards as u64)),
-        (
-            "batch".to_string(),
-            Json::Obj(vec![
-                ("requests".to_string(), Json::u64(batch.requests)),
-                ("errors".to_string(), Json::u64(batch.errors)),
-                (
-                    "by_op".to_string(),
-                    Json::Obj(
-                        batch
-                            .by_op
-                            .iter()
-                            .map(|(k, &v)| (k.clone(), Json::u64(v)))
-                            .collect(),
-                    ),
-                ),
-            ]),
+            "requests_hash",
+            format!("{:016x}", det.requests_hash).into(),
         ),
         (
-            "cache".to_string(),
-            Json::Obj(vec![
-                ("hits".to_string(), Json::u64(cache.hits)),
-                ("misses".to_string(), Json::u64(cache.misses)),
-                ("entries".to_string(), Json::u64(cache.entries)),
-                ("hit_rate".to_string(), Json::f64(hit_rate)),
-            ]),
+            "responses_hash",
+            format!("{:016x}", det.responses_hash).into(),
         ),
-        (
-            "determinism".to_string(),
-            Json::Obj(vec![
-                (
-                    "requests_hash".to_string(),
-                    Json::Str(format!("{:016x}", det.requests_hash)),
-                ),
-                (
-                    "responses_hash".to_string(),
-                    Json::Str(format!("{:016x}", det.responses_hash)),
-                ),
-                (
-                    "sim_cycles_total".to_string(),
-                    Json::u64(det.sim_cycles_total),
-                ),
-            ]),
-        ),
-        (
-            "latency".to_string(),
-            Json::Obj(vec![
-                ("p50_us".to_string(), Json::u64(percentile_us(&lat, 50.0))),
-                ("p95_us".to_string(), Json::u64(percentile_us(&lat, 95.0))),
-                ("p99_us".to_string(), Json::u64(percentile_us(&lat, 99.0))),
-                (
-                    "max_us".to_string(),
-                    Json::u64(lat.last().copied().unwrap_or(0)),
-                ),
-            ]),
-        ),
-        ("throughput_rps".to_string(), Json::f64(throughput)),
-        ("wall_s".to_string(), Json::f64(batch.wall_s)),
+        ("sim_cycles_total", det.sim_cycles_total.into()),
+    ];
+    let latency = [
+        ("p50_us", percentile_us(&lat, 50.0).into()),
+        ("p95_us", percentile_us(&lat, 95.0).into()),
+        ("p99_us", percentile_us(&lat, 99.0).into()),
+        ("max_us", lat.last().copied().unwrap_or(0).into()),
+    ];
+    Json::obj([
+        ("schema", SERVE_SCHEMA.into()),
+        ("commit", record::git_commit(Path::new(".")).into()),
+        ("timestamp", record::unix_now().into()),
+        ("host", record::host_fingerprint().into()),
+        ("shards", shards.into()),
+        ("batch", Json::obj(batch_json)),
+        ("cache", Json::obj(cache_json)),
+        ("determinism", Json::obj(determinism)),
+        ("latency", Json::obj(latency)),
+        ("throughput_rps", Json::f64(throughput)),
+        ("wall_s", Json::f64(batch.wall_s)),
     ])
 }
 

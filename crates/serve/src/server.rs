@@ -281,75 +281,39 @@ impl State {
         } else {
             hits as f64 / (hits + misses) as f64
         };
-        let per_shard: Vec<Json> = self
-            .shard_stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Json::Obj(vec![
-                    ("shard".to_string(), Json::u64(i as u64)),
-                    (
-                        "requests".to_string(),
-                        Json::u64(s.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors".to_string(),
-                        Json::u64(s.errors.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "cache".to_string(),
-                        Json::Obj(vec![
-                            (
-                                "hits".to_string(),
-                                Json::u64(s.hits.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "misses".to_string(),
-                                Json::u64(s.misses.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "inserts".to_string(),
-                                Json::u64(s.inserts.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "evictions".to_string(),
-                                Json::u64(s.evictions.load(Ordering::Relaxed)),
-                            ),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
+        let per_shard = self.shard_stats.iter().enumerate().map(|(i, s)| {
+            let cache = [
+                ("hits", load(&s.hits)),
+                ("misses", load(&s.misses)),
+                ("inserts", load(&s.inserts)),
+                ("evictions", load(&s.evictions)),
+            ];
+            Json::obj([
+                ("shard", i.into()),
+                ("requests", load(&s.requests)),
+                ("errors", load(&s.errors)),
+                ("cache", Json::obj(cache)),
+            ])
+        });
+        let cache = [
+            ("hits", hits.into()),
+            ("misses", misses.into()),
+            ("entries", entries.into()),
+            ("capacity", self.cache.capacity().into()),
+            ("generation", self.cache.generation().into()),
+            ("evictions", self.cache.evictions().into()),
+            ("hit_rate", Json::f64(hit_rate)),
+        ];
         proto::ok_body(
             Op::Stats,
             vec![
-                (
-                    "backend".to_string(),
-                    Json::Str(self.opts.backend.name().to_string()),
-                ),
-                ("shards".to_string(), Json::u64(self.opts.shards as u64)),
-                (
-                    "requests".to_string(),
-                    Json::u64(self.requests.load(Ordering::Relaxed)),
-                ),
-                (
-                    "errors".to_string(),
-                    Json::u64(self.errors.load(Ordering::Relaxed)),
-                ),
-                (
-                    "cache".to_string(),
-                    Json::Obj(vec![
-                        ("hits".to_string(), Json::u64(hits)),
-                        ("misses".to_string(), Json::u64(misses)),
-                        ("entries".to_string(), Json::u64(entries)),
-                        ("capacity".to_string(), Json::u64(self.cache.capacity())),
-                        ("generation".to_string(), Json::u64(self.cache.generation())),
-                        ("evictions".to_string(), Json::u64(self.cache.evictions())),
-                        ("hit_rate".to_string(), Json::f64(hit_rate)),
-                    ]),
-                ),
-                ("builds".to_string(), Json::u64(self.builds.len() as u64)),
-                ("per_shard".to_string(), Json::Arr(per_shard)),
+                ("backend", self.opts.backend.name().into()),
+                ("shards", self.opts.shards.into()),
+                ("requests", load(&self.requests)),
+                ("errors", load(&self.errors)),
+                ("cache", Json::obj(cache)),
+                ("builds", self.builds.len().into()),
+                ("per_shard", per_shard.collect()),
             ],
         )
     }
@@ -381,88 +345,49 @@ impl State {
             merged.merge(&s.metrics.lock().expect("shard metrics poisoned"));
         }
         let (counters, histograms) = inspect::registry_json(&merged);
-        let doc = Json::Obj(vec![
-            (
-                "schema".to_string(),
-                Json::Str(inspect::METRICS_SCHEMA.to_string()),
-            ),
-            (
-                "backend".to_string(),
-                Json::Str(self.opts.backend.name().to_string()),
-            ),
-            ("shards".to_string(), Json::u64(self.opts.shards as u64)),
-            (
-                "uptime_us".to_string(),
-                Json::u64(self.started.elapsed().as_micros() as u64),
-            ),
-            (
-                "requests".to_string(),
-                Json::Obj(vec![
-                    (
-                        "total".to_string(),
-                        Json::u64(self.requests.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "errors".to_string(),
-                        Json::u64(self.errors.load(Ordering::Relaxed)),
-                    ),
-                    ("by_op".to_string(), Json::Obj(by_op)),
-                ]),
-            ),
-            (
-                "determinism".to_string(),
-                Json::Obj(vec![
-                    (
-                        "requests_hash".to_string(),
-                        Json::u64(self.req_hash.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "responses_hash".to_string(),
-                        Json::u64(self.resp_hash.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "sim_cycles_total".to_string(),
-                        Json::u64(self.sim_cycles.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "cache".to_string(),
-                Json::Obj(vec![
-                    ("builds".to_string(), Json::u64(self.builds.len() as u64)),
-                    (
-                        "translations".to_string(),
-                        Json::Obj(vec![
-                            ("entries".to_string(), Json::u64(entries)),
-                            ("capacity".to_string(), Json::u64(self.cache.capacity())),
-                            ("generation".to_string(), Json::u64(self.cache.generation())),
-                            ("evictions".to_string(), Json::u64(self.cache.evictions())),
-                            ("hits".to_string(), Json::u64(hits)),
-                            ("misses".to_string(), Json::u64(misses)),
-                            ("hit_rate".to_string(), Json::f64(hit_rate)),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "flight".to_string(),
-                Json::Obj(vec![
-                    (
-                        "capacity".to_string(),
-                        Json::u64(self.recorder.capacity() as u64),
-                    ),
-                    ("events".to_string(), Json::u64(self.recorder.events())),
-                    ("dropped".to_string(), Json::u64(self.recorder.dropped())),
-                    (
-                        "contended".to_string(),
-                        Json::u64(self.recorder.contended()),
-                    ),
-                ]),
-            ),
-            ("counters".to_string(), counters),
-            ("histograms".to_string(), histograms),
+        let requests = [
+            ("total", load(&self.requests)),
+            ("errors", load(&self.errors)),
+            ("by_op", Json::Obj(by_op)),
+        ];
+        let determinism = [
+            ("requests_hash", load(&self.req_hash)),
+            ("responses_hash", load(&self.resp_hash)),
+            ("sim_cycles_total", load(&self.sim_cycles)),
+        ];
+        let translations = [
+            ("entries", entries.into()),
+            ("capacity", self.cache.capacity().into()),
+            ("generation", self.cache.generation().into()),
+            ("evictions", self.cache.evictions().into()),
+            ("hits", hits.into()),
+            ("misses", misses.into()),
+            ("hit_rate", Json::f64(hit_rate)),
+        ];
+        let cache = [
+            ("builds", self.builds.len().into()),
+            ("translations", Json::obj(translations)),
+        ];
+        let flight = [
+            ("capacity", self.recorder.capacity().into()),
+            ("events", self.recorder.events().into()),
+            ("dropped", self.recorder.dropped().into()),
+            ("contended", self.recorder.contended().into()),
+        ];
+        let uptime_us = self.started.elapsed().as_micros() as u64;
+        let doc = Json::obj([
+            ("schema", inspect::METRICS_SCHEMA.into()),
+            ("backend", self.opts.backend.name().into()),
+            ("shards", self.opts.shards.into()),
+            ("uptime_us", uptime_us.into()),
+            ("requests", Json::obj(requests)),
+            ("determinism", Json::obj(determinism)),
+            ("cache", Json::obj(cache)),
+            ("flight", Json::obj(flight)),
+            ("counters", counters),
+            ("histograms", histograms),
         ]);
-        proto::ok_body(Op::Inspect, vec![("metrics".to_string(), doc)])
+        proto::ok_body(Op::Inspect, vec![("metrics", doc)])
     }
 
     /// Drains the flight recorder into `flight-<n>-<reason>.jsonl` (plus a
@@ -504,6 +429,11 @@ impl State {
             ),
         }
     }
+}
+
+/// A relaxed atomic counter read as a JSON number.
+fn load(counter: &AtomicU64) -> Json {
+    counter.load(Ordering::Relaxed).into()
 }
 
 /// The request id as flight-event text (numbers render raw, no id = "").
@@ -934,9 +864,9 @@ fn handle_line(
                     proto::ok_body(
                         Op::Dump,
                         vec![
-                            ("reason".to_string(), Json::Str(reason)),
-                            ("path".to_string(), Json::Str(path.display().to_string())),
-                            ("events".to_string(), Json::u64(events)),
+                            ("reason", Json::Str(reason)),
+                            ("path", Json::Str(path.display().to_string())),
+                            ("events", Json::u64(events)),
                         ],
                     ),
                     req.id.as_ref(),
@@ -1160,6 +1090,41 @@ mod tests {
         handle.shutdown();
         let summary = handle.join().unwrap();
         assert_eq!(summary.errors, 3);
+    }
+
+    #[test]
+    fn deeply_nested_line_gets_an_error_reply_and_the_daemon_lives() {
+        let handle = spawn(ServeOptions::default()).unwrap();
+        let responses = client(handle.addr, &["[".repeat(100_000)]);
+        let doc = Json::parse(&responses[0]).unwrap();
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(proto::ERR_SCHEMA)
+        );
+        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("bad-request"));
+        let stats = client(handle.addr, &[r#"{"op":"stats","id":"s"}"#.to_string()]);
+        let stats = Json::parse(&stats[0]).unwrap();
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
+        handle.shutdown();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn non_rfc_number_id_gets_a_parseable_reply() {
+        let handle = spawn(ServeOptions::default()).unwrap();
+        let lines = [
+            r#"{"op":"stats","id":1.}"#,
+            r#"{"op":"stats","id":-.5}"#,
+            r#"{"op":"stats","id":007}"#,
+        ];
+        let responses = client(handle.addr, &lines.map(str::to_string));
+        for (line, resp) in lines.iter().zip(&responses) {
+            let doc = Json::parse(resp).unwrap_or_else(|e| panic!("{line} -> {resp}: {e}"));
+            assert_eq!(doc.get("kind").and_then(Json::as_str), Some("bad-request"));
+            assert_eq!(doc.get("id"), None, "an unparsed id is never echoed");
+        }
+        handle.shutdown();
+        handle.join().unwrap();
     }
 
     #[test]

@@ -1,31 +1,14 @@
 //! Exporters: JSON-lines, Chrome trace-event format, and a human-readable
-//! summary. All JSON is hand-rolled (the crate has no dependencies); the
+//! summary. Events stream out one line at a time with strings escaped by
+//! [`crate::json::escape`], never through a per-event value tree; the
 //! emitted values are numbers and escaped strings only.
 
 use std::fmt::Write as _;
 
 use crate::event::{TraceEvent, TraceRecord, Track};
+use crate::json::escape;
 use crate::span::{self, SpanRecord};
 use crate::tracer::Tracer;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The event-specific payload fields as JSON key/value text, e.g.
 /// `"func_pc":12,"reason":"cam-miss"`.
@@ -371,11 +354,6 @@ mod tests {
         assert!(text.contains("mcache-hit"));
         assert!(text.contains("mcache.hit"));
         assert!(text.contains("2 events emitted"));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

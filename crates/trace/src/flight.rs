@@ -18,8 +18,8 @@
 //! ascending shard order and restores the global order by seq — the
 //! deterministic merge the `flight-v1` dump format requires.
 //!
-//! Serialization is hand-rolled (this crate has no dependencies): a dump
-//! is one `flight-v1` header line plus one JSON object per event, and a
+//! Lines stream out with strings escaped by [`crate::json::escape`]: a
+//! dump is one `flight-v1` header line plus one JSON object per event, and a
 //! folded-stacks sidecar (`service;op;stage count` lines) for flamegraph
 //! tooling.
 
@@ -27,6 +27,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::json::escape;
 
 /// Schema tag of a dump's header line.
 pub const FLIGHT_SCHEMA: &str = "flight-v1";
@@ -336,24 +338,6 @@ pub fn folded_events(service: &str, records: &[FlightRecord]) -> String {
     let mut out = String::new();
     for (path, count) in tally {
         out.push_str(&format!("{path} {count}\n"));
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
     out
 }

@@ -24,6 +24,10 @@
 //! * [`flight`] — the always-on service flight recorder: per-shard
 //!   bounded rings of request-lifecycle events with a never-blocking
 //!   hot path, drained into `flight-v1` JSONL black-box dumps.
+//! * [`json`] — the workspace's one JSON model, parser, writer and
+//!   escaper: insertion-ordered keys and raw number text, so append →
+//!   load → re-serialize is the identity function, plus the single
+//!   pretty layout every report document is written in.
 //!
 //! ```
 //! use liquid_simd_trace::{CallMode, TraceEvent, Tracer};
@@ -51,6 +55,7 @@
 pub mod event;
 pub mod export;
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod tracer;
@@ -59,6 +64,7 @@ pub use event::{CacheKind, CallMode, TraceEvent, TraceRecord, Track};
 pub use flight::{
     FlightEvent, FlightRecord, FlightRecorder, FlightStage, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA,
 };
+pub use json::Json;
 pub use metrics::{pow2_bounds, Histogram, Metrics};
 pub use span::{SpanAgg, SpanGuard, SpanId, SpanRecord};
 pub use tracer::{TraceConfig, Tracer, DEFAULT_CAPACITY};
