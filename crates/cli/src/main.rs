@@ -866,20 +866,6 @@ fn width_anomalies(rows: &[perfhist::WorkloadRow]) -> Vec<String> {
     out
 }
 
-/// Region names for ledger snapshots: the program label at each region's
-/// entry PC, for every region the ledger actually charged.
-fn ledger_region_labels(
-    program: &Program,
-    ledger: &liquid_simd::ledger::Ledger,
-) -> std::collections::BTreeMap<u32, String> {
-    ledger
-        .region_totals()
-        .keys()
-        .filter(|&&pc| pc != liquid_simd::ledger::TOP_REGION)
-        .filter_map(|&pc| program.label_at(pc).map(|l| (pc, l.to_string())))
-        .collect()
-}
-
 /// Simulates `program` at `width` with the cycle ledger on and rolls the
 /// result into a labelled, counter-corroborated snapshot — the input to
 /// every ledger diff.
@@ -893,13 +879,7 @@ fn ledger_snapshot_at(
         .with_backend(backend)
         .with_ledger(true);
     let out = liquid_simd::run(program, cfg).map_err(|e| format!("{label}: {e}"))?;
-    let led = out.report.ledger.clone().unwrap_or_default();
-    let names = ledger_region_labels(program, &led);
-    Ok(perfhist::counters::ledger_snapshot(
-        label,
-        &out.report,
-        &names,
-    ))
+    Ok(out.report.ledger_snapshot(label, program))
 }
 
 /// The structured `width_anomalies` entries of the bench snapshot: each
@@ -1019,7 +999,7 @@ fn record_snapshot(rec: &Json, label: &str) -> liquid_simd::ledger::Snapshot {
                 } else if let Some(cat) = rest.strip_suffix(".events") {
                     snap.categories.entry(cat.to_string()).or_default().events = v;
                 }
-            } else if !k.starts_with("backend.") {
+            } else if RunReport::is_evidence(k) {
                 snap.counters.insert(k.clone(), v);
             }
         }
@@ -1157,16 +1137,12 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
                 row.wall_s = t0.elapsed().as_secs_f64();
                 row.sim_cycles = out.report.cycles;
                 row.cycles_per_sec = out.report.cycles as f64 / row.wall_s.max(1e-9);
-                perfhist::counters::merge(
-                    &mut counters,
-                    &perfhist::counters::snapshot(&out.report),
-                );
+                for (name, v) in out.report.counters() {
+                    *counters.entry(name).or_insert(0) += v;
+                }
             }
             if record_ledger {
-                let led = out.report.ledger.clone().unwrap_or_default();
-                let names = ledger_region_labels(&b.program, &led);
-                let snap = liquid_simd::ledger::Snapshot::from_ledger(&w.name, &led, &names);
-                row.ledger = Some(snap.json());
+                row.ledger = Some(out.report.ledger_snapshot(&w.name, &b.program).json());
             }
             row.cycles_by_width.push((width, out.report.cycles));
         }

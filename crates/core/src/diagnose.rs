@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use liquid_simd_isa::{Program, SUPPORTED_WIDTHS};
-use liquid_simd_ledger::{Ledger, Snapshot as LedgerSnapshot, TOP_REGION};
+use liquid_simd_ledger::Snapshot as LedgerSnapshot;
 use liquid_simd_sim::{
     BackendKind, BlockStats, MachineConfig, McacheEntryStats, McacheStats, PhaseBreakdown,
     SimError, TargetProfile,
@@ -208,14 +208,7 @@ pub fn explain(
 
     let ledgers = runs
         .iter()
-        .map(|(w, r)| {
-            let led = r.ledger.clone().unwrap_or_default();
-            LedgerSnapshot::from_ledger(
-                &format!("{name} w{w}"),
-                &led,
-                &ledger_labels(program, &led),
-            )
-        })
+        .map(|(w, r)| r.ledger_snapshot(&format!("{name} w{w}"), program))
         .collect();
 
     Ok(ExplainReport {
@@ -228,17 +221,6 @@ pub fn explain(
         regions,
         ledgers,
     })
-}
-
-/// Labels for every ledger region that has one in the program's symbol
-/// table, so snapshots name regions `label @pc` instead of bare `@pc`.
-fn ledger_labels(program: &Program, ledger: &Ledger) -> BTreeMap<u32, String> {
-    ledger
-        .region_totals()
-        .keys()
-        .filter(|&&pc| pc != TOP_REGION)
-        .filter_map(|&pc| program.label_at(pc).map(|l| (pc, l.to_string())))
-        .collect()
 }
 
 /// The result of a [`profile`] run: where the cycles went.
@@ -303,8 +285,7 @@ pub fn profile(program: &Program, name: &str, lanes: usize) -> Result<ProfileRep
             .then(a.0.cmp(&b.0))
     });
 
-    let led = report.ledger.clone().unwrap_or_default();
-    let ledger = LedgerSnapshot::from_ledger(name, &led, &ledger_labels(program, &led));
+    let ledger = report.ledger_snapshot(name, program);
 
     let spans = tracer.spans();
     Ok(ProfileReport {
@@ -378,14 +359,9 @@ fn tally_json(tally: &BTreeMap<&'static str, u64>) -> Json {
     Json::obj(tally.iter().map(|(&t, &n)| (t, n.into())))
 }
 
-fn mcache_json(m: &McacheStats) -> Vec<(&'static str, Json)> {
-    vec![
-        ("lookups", m.lookups.into()),
-        ("hits", m.hits.into()),
-        ("pending", m.pending.into()),
-        ("inserts", m.inserts.into()),
-        ("evictions", m.evictions.into()),
-    ]
+/// A stats struct's `fields()` list as a JSON object, in list order.
+fn fields_json(fields: &[(&'static str, u64)]) -> Json {
+    Json::obj(fields.iter().map(|&(k, v)| (k, v.into())))
 }
 
 /// Renders an [`ExplainReport`] as JSON (schema `liquid-simd-explain-v2`;
@@ -399,18 +375,13 @@ pub fn explain_json(report: &ExplainReport) -> String {
         .enumerate()
         .zip(report.cycles.iter().zip(&report.mcache))
         .map(|((i, &w), (&c, m))| {
-            let metrics = report.blocks.get(i).copied().unwrap_or_default().metrics();
-            let blocks = metrics
-                .counters()
-                .iter()
-                .map(|(k, &v)| (k.trim_start_matches("blocks.").to_string(), v.into()));
-            let mut mcache = mcache_json(m);
-            mcache.push(("conflicts", m.conflicts.into()));
+            let mut blocks = report.blocks.get(i).copied().unwrap_or_default().fields();
+            blocks.sort_unstable_by_key(|&(k, _)| k);
             Json::obj([
                 ("width", w.into()),
                 ("cycles", c.into()),
-                ("mcache", Json::obj(mcache)),
-                ("blocks", Json::obj(blocks)),
+                ("mcache", fields_json(&m.fields())),
+                ("blocks", fields_json(&blocks)),
             ])
         });
     let regions = report.regions.iter().map(|region| {
@@ -590,25 +561,17 @@ pub fn profile_json(report: &ProfileReport, top: usize) -> String {
             ("uops", e.uops.into()),
         ])
     });
-    let p = &report.phases;
     Json::obj([
         ("schema", "liquid-simd-profile-v1".into()),
         ("program", report.program.as_str().into()),
         ("lanes", report.lanes.into()),
         ("cycles", report.cycles.into()),
         ("retired", report.retired.into()),
-        (
-            "phases",
-            Json::obj([
-                ("scalar_cycles", p.scalar_cycles.into()),
-                ("micro_cycles", p.micro_cycles.into()),
-                ("jit_stall_cycles", p.jit_stall_cycles.into()),
-            ]),
-        ),
+        ("phases", fields_json(&report.phases.fields())),
         ("ledger", report.ledger.json()),
         ("spans", spans.collect()),
         ("targets", targets.collect()),
-        ("mcache", Json::obj(mcache_json(&report.mcache))),
+        ("mcache", fields_json(&report.mcache.fields())),
         ("mcache_entries", entries.collect()),
         (
             "translator",

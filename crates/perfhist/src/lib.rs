@@ -1,7 +1,7 @@
 //! Performance history and regression gating for the Liquid SIMD repo.
 //!
 //! The paper's whole pipeline is deterministic by construction: the same
-//! program on the same [`liquid_simd_sim::MachineConfig`] retires the same
+//! program on the same `MachineConfig` retires the same
 //! instructions in the same cycles, every run, on every host. That makes
 //! simulated cycle counts a *regression contract*, not a measurement — any
 //! drift is a code change, never noise. This crate turns that property
@@ -11,10 +11,6 @@
 //!   bench` run appends one [`record`]-built `perfhist-v1` line keyed by
 //!   git commit, timestamp, host fingerprint, and machine-config hash.
 //!   Loading preserves unknown fields and future schemas byte-for-byte.
-//! * [`counters`] — one flat, dotted-name snapshot per record of
-//!   everything the run counted: translator automaton phase occupancy and
-//!   abort tallies, mcache hit/miss/eviction/conflict counts, SIMD lane
-//!   utilization, microcode-buffer high-water.
 //! * [`sentinel`] — the regression gate. Deterministic `sim_cycles` are
 //!   compared *exactly* against a comparable baseline record (same config
 //!   hash, suite, and widths) and any drift — regression or improvement —
@@ -31,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod dashboard;
 pub mod record;
 pub mod sentinel;

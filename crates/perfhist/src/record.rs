@@ -149,11 +149,11 @@ pub struct FamilyRow {
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice (`p` in 0..=100).
-/// Returns 0 for an empty slice.
+/// Returns the zero value (`T::default()`) for an empty slice.
 #[must_use]
-pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
     if sorted.is_empty() {
-        return 0.0;
+        return T::default();
     }
     let n = sorted.len();
     let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
@@ -447,8 +447,15 @@ mod tests {
         assert_eq!(nearest_rank(&v, 50.0), 2.0);
         assert_eq!(nearest_rank(&v, 90.0), 4.0);
         assert_eq!(nearest_rank(&v, 100.0), 4.0);
-        assert_eq!(nearest_rank(&[], 50.0), 0.0);
+        assert_eq!(nearest_rank::<f64>(&[], 50.0), 0.0);
         assert_eq!(nearest_rank(&[7.0], 90.0), 7.0);
+        let lat: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&lat, 50.0), 50);
+        assert_eq!(nearest_rank(&lat, 95.0), 95);
+        assert_eq!(nearest_rank(&lat, 99.0), 99);
+        assert_eq!(nearest_rank(&lat, 100.0), 100);
+        assert_eq!(nearest_rank::<u64>(&[], 50.0), 0);
+        assert_eq!(nearest_rank(&[7u64], 99.0), 7);
     }
 
     #[test]

@@ -67,16 +67,13 @@ pub fn report_text(report: &RunReport) -> String {
     out.push_str(&format!("icache            {}\n", report.icache));
     out.push_str(&format!("dcache            {}\n", report.dcache));
     out.push_str(&format!("translator        {}\n", report.translator));
-    out.push_str(&format!(
-        "microcode cache   {} lookups, {} hits, {} pending, {} inserts, {} evictions, \
-         {} conflicts\n",
-        report.mcache.lookups,
-        report.mcache.hits,
-        report.mcache.pending,
-        report.mcache.inserts,
-        report.mcache.evictions,
-        report.mcache.conflicts
-    ));
+    let mcache: Vec<String> = report
+        .mcache
+        .fields()
+        .iter()
+        .map(|(name, v)| format!("{v} {name}"))
+        .collect();
+    out.push_str(&format!("microcode cache   {}\n", mcache.join(", ")));
     for (pc, len) in &report.translations {
         out.push_str(&format!(
             "translated        @{pc}: {len} microcode instructions\n"
@@ -179,7 +176,7 @@ impl OpOutput {
             ok: true,
             cycles: report.cycles,
             kind: String::new(),
-            counters: liquid_simd_perfhist::counters::snapshot(report),
+            counters: report.counters(),
         }
     }
 

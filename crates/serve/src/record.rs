@@ -60,16 +60,6 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// The nearest-rank percentile of a sorted latency list (0 for empty).
-#[must_use]
-pub fn percentile_us(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Builds one `perfhist-serve-v1` record.
 #[must_use]
 pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determinism) -> Json {
@@ -109,9 +99,9 @@ pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determ
         ("sim_cycles_total", det.sim_cycles_total.into()),
     ];
     let latency = [
-        ("p50_us", percentile_us(&lat, 50.0).into()),
-        ("p95_us", percentile_us(&lat, 95.0).into()),
-        ("p99_us", percentile_us(&lat, 99.0).into()),
+        ("p50_us", record::nearest_rank(&lat, 50.0).into()),
+        ("p95_us", record::nearest_rank(&lat, 95.0).into()),
+        ("p99_us", record::nearest_rank(&lat, 99.0).into()),
         ("max_us", lat.last().copied().unwrap_or(0).into()),
     ];
     Json::obj([
@@ -132,17 +122,6 @@ pub fn build(shards: usize, batch: &BatchStats, cache: &CacheStats, det: &Determ
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let lat: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&lat, 50.0), 50);
-        assert_eq!(percentile_us(&lat, 95.0), 95);
-        assert_eq!(percentile_us(&lat, 99.0), 99);
-        assert_eq!(percentile_us(&lat, 100.0), 100);
-        assert_eq!(percentile_us(&[], 50.0), 0);
-        assert_eq!(percentile_us(&[7], 99.0), 7);
-    }
 
     #[test]
     fn record_round_trips_and_carries_the_gated_fields() {

@@ -32,7 +32,7 @@
 //! from [`ops::execute`].
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -748,6 +748,11 @@ fn snapshot_microcode(
     }
 }
 
+/// Longest request line the daemon reads, newline excluded. A longer line,
+/// or one that is not UTF-8, gets a `bad-request` reply and the connection
+/// keeps serving.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Reads request lines, resolves programs, dispatches to shards, and
 /// joins its ordered writer before returning.
 fn connection(stream: TcpStream, shard_txs: Vec<mpsc::Sender<Job>>, state: &State) {
@@ -758,30 +763,42 @@ fn connection(stream: TcpStream, shard_txs: Vec<mpsc::Sender<Job>>, state: &Stat
     let writer = std::thread::spawn(move || ordered_writer(write_stream, &reply_rx));
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
+    // Set once a line outgrows the bound: its bytes are dropped as they
+    // arrive, through its newline, and the line is answered as one bad
+    // request.
+    let mut oversized = false;
     let mut seq: u64 = 0;
     loop {
-        match reader.read_line(&mut line) {
+        // One byte over the bound is how an overlong line shows itself.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if line.last() != Some(&b'\n') && line.len() > MAX_LINE_BYTES => {
+                oversized = true;
+                line.clear();
+            }
             Ok(_) => {
-                if !line.trim().is_empty() {
-                    handle_line(
-                        line.trim_end_matches(['\r', '\n']),
-                        seq,
-                        &shard_txs,
-                        state,
-                        &reply_tx,
-                    );
+                let text = if oversized {
+                    Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+                } else {
+                    std::str::from_utf8(&line)
+                        .map_err(|e| format!("request line is not UTF-8: {e}"))
+                };
+                if !matches!(text, Ok(t) if t.trim().is_empty()) {
+                    let text = text.map(|t| t.trim_end_matches(['\r', '\n']));
+                    handle_line(text, seq, &shard_txs, state, &reply_tx);
                     seq += 1;
                 }
+                oversized = false;
                 line.clear();
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // `read_line` preserves bytes already appended to `line`,
-                // so retrying cannot tear a request across reads.
+                // `read_until` keeps the bytes it already appended to
+                // `line`, so retrying cannot tear a request across reads.
                 if state.shutdown.load(Ordering::Relaxed) {
                     break;
                 }
@@ -797,13 +814,14 @@ fn connection(stream: TcpStream, shard_txs: Vec<mpsc::Sender<Job>>, state: &Stat
 }
 
 /// Parses one request line and routes it: immediate front-end answers for
-/// stats/inspect/dump/shutdown/bad requests, shard dispatch for
-/// deterministic ops. Front-end lifecycle events land on shard ring 0
-/// (they have no shard of their own); dispatched requests record their
-/// accept/parse/build events on their destination shard's ring so an
-/// incident dump shows each request's full story in one place.
+/// stats/inspect/dump/shutdown/bad requests (an `Err` line is one the
+/// reader refused), shard dispatch for deterministic ops. Front-end
+/// lifecycle events land on shard ring 0 (they have no shard of their
+/// own); dispatched requests record their accept/parse/build events on
+/// their destination shard's ring so an incident dump shows each
+/// request's full story in one place.
 fn handle_line(
-    line: &str,
+    line: Result<&str, String>,
     seq: u64,
     shard_txs: &[mpsc::Sender<Job>],
     state: &State,
@@ -818,7 +836,7 @@ fn handle_line(
         state.tally(op, ok, arrived.elapsed().as_micros() as u64);
         let _ = reply_tx.send((seq, proto::with_id(&body, id)));
     };
-    let req = match proto::parse_request(line) {
+    let req = match line.and_then(proto::parse_request) {
         Ok(req) => req,
         Err(msg) => {
             state.recorder.record(
@@ -1110,6 +1128,45 @@ mod tests {
     }
 
     #[test]
+    fn oversized_and_non_utf8_lines_get_error_replies_and_the_connection_lives() {
+        let handle = spawn(ServeOptions::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr).expect("connect");
+        let mut batch = vec![b'x'; 2 << 20];
+        batch.push(b'\n');
+        batch.extend_from_slice(b"{\"op\":\"stats\",\"id\":\"\xff\"}\n");
+        stream.write_all(&batch).unwrap();
+        // The valid request arrives in two writes, one read timeout apart:
+        // its first half must survive the reader's retry.
+        let run = br#"{"op":"run","workload":"fir","id":"ok"}"#;
+        stream.write_all(&run[..10]).unwrap();
+        std::thread::sleep(Duration::from_millis(250));
+        stream.write_all(&run[10..]).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let replies: Vec<Json> = BufReader::new(stream)
+            .lines()
+            .take(3)
+            .map(|l| Json::parse(&l.expect("reply line")).expect("reply parses"))
+            .collect();
+        for (reply, what) in replies.iter().zip(["exceeds", "not UTF-8"]) {
+            assert_eq!(
+                reply.get("kind").and_then(Json::as_str),
+                Some("bad-request")
+            );
+            let err = reply.get("error").and_then(Json::as_str).unwrap();
+            assert!(err.contains(what), "{err}");
+        }
+        assert_eq!(
+            replies[2].get("ok"),
+            Some(&Json::Bool(true)),
+            "{:?}",
+            replies[2]
+        );
+        assert_eq!(replies[2].get("id").and_then(Json::as_str), Some("ok"));
+        handle.shutdown();
+        handle.join().unwrap();
+    }
+
+    #[test]
     fn non_rfc_number_id_gets_a_parseable_reply() {
         let handle = spawn(ServeOptions::default()).unwrap();
         let lines = [
@@ -1154,12 +1211,23 @@ mod tests {
             ..ServeOptions::default()
         })
         .unwrap();
-        let lines: Vec<String> = vec![
-            r#"{"op":"run","workload":"fir","id":"healthy-1"}"#.to_string(),
-            r#"{"op":"run","workload":"fir","inject":"panic","id":"boom"}"#.to_string(),
-            r#"{"op":"run","workload":"fir","id":"healthy-2"}"#.to_string(),
+        let lines = [
+            r#"{"op":"run","workload":"fir","id":"healthy-1"}"#,
+            r#"{"op":"run","workload":"fir","inject":"panic","id":"boom"}"#,
+            r#"{"op":"run","workload":"fir","id":"healthy-2"}"#,
         ];
-        let responses = client(handle.addr, &lines);
+        // Each request goes out only after the previous reply, so one
+        // thread at a time records on the shard's flight ring: the
+        // recorder's `try_lock` cannot collide and drop a `boom` event.
+        let stream = TcpStream::connect(handle.addr).expect("connect");
+        let mut replies = BufReader::new(stream.try_clone().expect("clone")).lines();
+        let responses: Vec<String> = lines
+            .iter()
+            .map(|line| {
+                (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+                replies.next().expect("reply").expect("reply line")
+            })
+            .collect();
         let kind_of = |r: &str| {
             Json::parse(r)
                 .unwrap()

@@ -30,6 +30,26 @@ pub struct McacheStats {
     pub conflicts: u64,
 }
 
+impl McacheStats {
+    /// The counters as ordered `(name, value)` pairs: the one spelling
+    /// behind the `mcache.*` keys of [`RunReport::counters`], the
+    /// `explain`/`profile` JSON `mcache` objects and the `run --report`
+    /// microcode-cache line.
+    ///
+    /// [`RunReport::counters`]: crate::RunReport::counters
+    #[must_use]
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("lookups", self.lookups),
+            ("hits", self.hits),
+            ("pending", self.pending),
+            ("inserts", self.inserts),
+            ("evictions", self.evictions),
+            ("conflicts", self.conflicts),
+        ]
+    }
+}
+
 /// Per-function microcode-cache statistics. Keyed by the function's entry
 /// PC and kept *across* evictions, so a thrashing entry's history survives
 /// its residency.

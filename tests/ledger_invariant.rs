@@ -10,13 +10,10 @@
 //! byte-compared against the committed `bench/diff_179art_w8_w16.json`
 //! fixture.
 
-use std::collections::BTreeMap;
-
 use liquid_simd_repro::facade as liquid;
 use liquid_simd_repro::isa::Program;
 use liquid_simd_repro::kernelgen::{expand_corpus, Payload};
-use liquid_simd_repro::ledger::{diff, Snapshot, TOP_REGION};
-use liquid_simd_repro::perfhist::counters::ledger_snapshot;
+use liquid_simd_repro::ledger::{diff, Snapshot};
 use liquid_simd_repro::sim::{BackendKind, MachineConfig};
 
 const WIDTHS: [usize; 4] = [2, 4, 8, 16];
@@ -132,8 +129,10 @@ fn ledger_snapshots_identical_at_jobs_1_and_jobs_8() {
                 let (w, width) = (&workloads[wi], widths[si]);
                 let report =
                     run_with_ledger(&w.name, &builds[wi].program, width, BackendKind::Interp);
-                let names = region_labels(&builds[wi].program, &report);
-                Ok(ledger_snapshot(&format!("{}@w{width}", w.name), &report, &names).to_json())
+                let label = format!("{}@w{width}", w.name);
+                Ok(report
+                    .ledger_snapshot(&label, &builds[wi].program)
+                    .to_json())
             },
         )
         .expect("smoke sweep")
@@ -142,22 +141,6 @@ fn ledger_snapshots_identical_at_jobs_1_and_jobs_8() {
     let parallel = sweep(8);
     assert_eq!(serial, parallel, "ledger snapshots must not observe --jobs");
     assert!(serial.iter().all(|s| s.contains("\"total_cycles\":")));
-}
-
-/// The same region-naming rule the CLI uses for its snapshots: the
-/// program label at each charged region's entry PC.
-fn region_labels(program: &Program, report: &liquid::RunReport) -> BTreeMap<u32, String> {
-    report
-        .ledger
-        .as_ref()
-        .map(|led| {
-            led.region_totals()
-                .keys()
-                .filter(|&&pc| pc != TOP_REGION)
-                .filter_map(|&pc| program.label_at(pc).map(|l| (pc, l.to_string())))
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 /// The committed fixture is exactly what `liquid-simd diff 179.art@w8
@@ -174,8 +157,7 @@ fn pinned_179art_width_inversion_fixture_names_the_dominant_category() {
     let b = liquid::build_liquid(&w).expect("build 179.art");
     let snap_at = |width: usize| -> Snapshot {
         let report = run_with_ledger("179.art", &b.program, width, BackendKind::Interp);
-        let names = region_labels(&b.program, &report);
-        ledger_snapshot(&format!("179.art@w{width}"), &report, &names)
+        report.ledger_snapshot(&format!("179.art@w{width}"), &b.program)
     };
     let d = diff::diff(&snap_at(8), &snap_at(16));
 

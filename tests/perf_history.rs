@@ -45,10 +45,9 @@ fn measure(wall_s: f64) -> Json {
             let out = run(&b.program, MachineConfig::liquid(width)).unwrap();
             if width == 8 {
                 headline = out.report.cycles;
-                perfhist::counters::merge(
-                    &mut counters,
-                    &perfhist::counters::snapshot(&out.report),
-                );
+                for (name, v) in out.report.counters() {
+                    *counters.entry(name).or_insert(0) += v;
+                }
             }
             by_width.push((width, out.report.cycles));
         }
