@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use liquid_simd::{experiments, Machine, MachineConfig, RunReport};
+use liquid_simd::{experiments, BackendKind, Machine, MachineConfig, RunReport};
 use liquid_simd_isa::{asm, object, Program};
 use liquid_simd_perfhist as perfhist;
 use liquid_simd_serve as serve;
@@ -500,10 +500,10 @@ impl Args {
     /// the program. Both retire bit-identical architectural state and
     /// cycle counts; superblock pre-lowers straight-line runs for
     /// throughput.
-    fn backend(&self) -> Result<liquid_simd::BackendKind, String> {
+    fn backend(&self) -> Result<BackendKind, String> {
         match self.value("--backend") {
-            None => Ok(liquid_simd::BackendKind::default()),
-            Some(v) => liquid_simd::BackendKind::parse(v)
+            None => Ok(BackendKind::default()),
+            Some(v) => BackendKind::parse(v)
                 .ok_or_else(|| format!("bad --backend `{v}` (interp or superblock)")),
         }
     }
@@ -790,7 +790,15 @@ fn cmd_tables(args: &Args) -> Result<(), String> {
         println!("{row}");
     }
     println!("\n── Figure 6: speedup at widths {widths:?} (liquid | built-in | native) ──");
-    for row in experiments::figure6(&workloads, &widths, jobs).map_err(err)? {
+    let sweep = experiments::figure6(
+        &workloads,
+        &widths,
+        BackendKind::Interp,
+        false,
+        jobs,
+        &|_| {},
+    );
+    for row in &sweep.map_err(err)?.rows {
         println!("{row}");
     }
     let mut fir = liquid_simd_workloads::fir();
@@ -839,31 +847,47 @@ fn cmd_tables(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders experiment rows to the exact text a user would see, so serial
-/// and parallel sweeps can be compared byte for byte.
-fn render_rows<T: std::fmt::Display>(rows: &[T]) -> String {
-    rows.iter().map(|r| format!("{r}\n")).collect()
+/// A width inversion: a wider machine simulated more cycles than the next
+/// narrower one. Legal (translation latency and abort fallbacks depend on
+/// the width) but always worth a human look, e.g. `179.art` at width 16
+/// costing more cycles than at width 8.
+struct Inversion<'r> {
+    workload: &'r str,
+    /// `(width, cycles)` of the narrower side.
+    narrow: (usize, u64),
+    /// `(width, cycles)` of the wider side.
+    wide: (usize, u64),
 }
 
-/// Flags workloads where a wider SIMD width simulated **more** cycles than
-/// the next narrower one. Legal (strip-mining remainders, width-dependent
-/// abort fallbacks) but always worth a human look — e.g. `179.art` at
-/// width 16 costing more cycles than at width 8.
-fn width_anomalies(rows: &[perfhist::WorkloadRow]) -> Vec<String> {
-    let mut out = Vec::new();
-    for row in rows {
-        for pair in row.cycles_by_width.windows(2) {
-            let ((narrow, narrow_cycles), (wide, wide_cycles)) = (pair[0], pair[1]);
-            if wide > narrow && wide_cycles > narrow_cycles {
-                out.push(format!(
-                    "{}: width {wide} took {wide_cycles} cycles, more than width \
-                     {narrow}'s {narrow_cycles}",
-                    row.name
-                ));
-            }
-        }
+impl Inversion<'_> {
+    fn message(&self) -> String {
+        let ((narrow, narrow_cycles), (wide, wide_cycles)) = (self.narrow, self.wide);
+        format!(
+            "{}: width {wide} took {wide_cycles} cycles, more than width \
+             {narrow}'s {narrow_cycles}",
+            self.workload
+        )
     }
-    out
+}
+
+/// Every width inversion of `(workload, cycles by width)` rows, in row
+/// then width order: the one scan behind the `bench` warnings, its
+/// `width_anomalies` entries and `bench --families`.
+fn width_inversions<'r>(
+    rows: impl IntoIterator<Item = (&'r str, &'r [(usize, u64)])>,
+) -> Vec<Inversion<'r>> {
+    rows.into_iter()
+        .flat_map(|(workload, by_width)| {
+            by_width.windows(2).filter_map(move |pair| {
+                let (narrow, wide) = (pair[0], pair[1]);
+                (wide.0 > narrow.0 && wide.1 > narrow.1).then_some(Inversion {
+                    workload,
+                    narrow,
+                    wide,
+                })
+            })
+        })
+        .collect()
 }
 
 /// Simulates `program` at `width` with the cycle ledger on and rolls the
@@ -873,7 +897,7 @@ fn ledger_snapshot_at(
     label: &str,
     program: &Program,
     width: usize,
-    backend: liquid_simd::BackendKind,
+    backend: BackendKind,
 ) -> Result<liquid_simd::ledger::Snapshot, String> {
     let cfg = MachineConfig::liquid(width)
         .with_backend(backend)
@@ -887,61 +911,43 @@ fn ledger_snapshot_at(
 /// carries the top-3 attribution buckets of the delta plus the dominant
 /// cost category — a machine-checked explanation, not just a flag.
 fn width_anomaly_entries(
-    rows: &[perfhist::WorkloadRow],
+    inversions: &[Inversion<'_>],
     workloads: &[liquid_simd::Workload],
-    backend: liquid_simd::BackendKind,
+    backend: BackendKind,
 ) -> Result<Vec<Json>, String> {
     let mut out = Vec::new();
-    for row in rows {
-        for pair in row.cycles_by_width.windows(2) {
-            let ((narrow, narrow_cycles), (wide, wide_cycles)) = (pair[0], pair[1]);
-            if !(wide > narrow && wide_cycles > narrow_cycles) {
-                continue;
-            }
-            let Some(w) = workloads.iter().find(|w| w.name == row.name) else {
-                continue;
-            };
-            let b = liquid_simd::build_liquid(w).map_err(|e| format!("{}: {e}", w.name))?;
-            let a = ledger_snapshot_at(
-                &format!("{}@w{narrow}", w.name),
-                &b.program,
-                narrow,
-                backend,
-            )?;
-            let z = ledger_snapshot_at(&format!("{}@w{wide}", w.name), &b.program, wide, backend)?;
-            let d = liquid_simd::ledger::diff::diff(&a, &z);
-            let buckets = d
-                .categories
-                .iter()
-                .filter(|c| c.delta != 0)
-                .take(3)
-                .map(|c| {
-                    Json::obj([
-                        ("category", c.name.as_str().into()),
-                        ("narrow_cycles", c.a_cycles.into()),
-                        ("wide_cycles", c.b_cycles.into()),
-                        ("delta", c.delta.into()),
-                    ])
-                });
-            out.push(Json::obj([
-                ("workload", row.name.as_str().into()),
-                ("narrow_width", narrow.into()),
-                ("narrow_cycles", narrow_cycles.into()),
-                ("wide_width", wide.into()),
-                ("wide_cycles", wide_cycles.into()),
-                ("dominant_category", d.dominant_category.into()),
-                ("top_buckets", buckets.collect()),
-                (
-                    "message",
-                    format!(
-                        "{}: width {wide} took {wide_cycles} cycles, more than width \
-                         {narrow}'s {narrow_cycles}",
-                        row.name
-                    )
-                    .into(),
-                ),
-            ]));
-        }
+    for inv in inversions {
+        let ((narrow, narrow_cycles), (wide, wide_cycles)) = (inv.narrow, inv.wide);
+        let Some(w) = workloads.iter().find(|w| w.name == inv.workload) else {
+            continue;
+        };
+        let b = liquid_simd::build_liquid(w).map_err(|e| format!("{}: {e}", w.name))?;
+        let snap =
+            |width| ledger_snapshot_at(&format!("{}@w{width}", w.name), &b.program, width, backend);
+        let d = liquid_simd::ledger::diff::diff(&snap(narrow)?, &snap(wide)?);
+        let buckets = d
+            .categories
+            .iter()
+            .filter(|c| c.delta != 0)
+            .take(3)
+            .map(|c| {
+                Json::obj([
+                    ("category", c.name.as_str().into()),
+                    ("narrow_cycles", c.a_cycles.into()),
+                    ("wide_cycles", c.b_cycles.into()),
+                    ("delta", c.delta.into()),
+                ])
+            });
+        out.push(Json::obj([
+            ("workload", inv.workload.into()),
+            ("narrow_width", narrow.into()),
+            ("narrow_cycles", narrow_cycles.into()),
+            ("wide_width", wide.into()),
+            ("wide_cycles", wide_cycles.into()),
+            ("dominant_category", d.dominant_category.into()),
+            ("top_buckets", buckets.collect()),
+            ("message", inv.message().into()),
+        ]));
     }
     Ok(out)
 }
@@ -951,7 +957,7 @@ fn width_anomaly_entries(
 /// perfhist-v1 record is rolled into a snapshot.
 fn diff_snapshot(
     spec: &str,
-    backend: liquid_simd::BackendKind,
+    backend: BackendKind,
 ) -> Result<liquid_simd::ledger::Snapshot, String> {
     if let Some((base, width)) = spec.rsplit_once("@w") {
         if let Ok(w) = width.parse::<usize>() {
@@ -1089,93 +1095,14 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let backend = args.backend()?;
     let out_path = args.value_or("--out", "BENCH_sim.json");
     let err = |e: liquid_simd::VerifyError| e.to_string();
-    // The headline width: the paper's 8-lane configuration when swept,
-    // else the widest width in the sweep.
-    let headline = if widths.contains(&8) {
-        8
-    } else {
-        *widths.last().ok_or("bench: empty width sweep")?
-    };
+    let headline = experiments::headline_width(&widths).ok_or("bench: empty width sweep")?;
 
-    // Per-workload measurements, all deterministic except wall clock: the
-    // scalar baseline (speedup denominator), liquid cycles at every swept
-    // width, wall-clock throughput of the headline run (the
-    // predecoded-metadata fast path is what that number measures), and the
-    // headline run's counter-telemetry snapshot.
-    let mut rows: Vec<perfhist::WorkloadRow> = Vec::new();
-    let mut counters = std::collections::BTreeMap::new();
-    for w in &workloads {
-        let plain = liquid_simd::build_plain(w).map_err(|e| format!("{}: {e}", w.name))?;
-        let base = liquid_simd::run(
-            &plain.program,
-            MachineConfig::scalar_only().with_backend(backend),
-        )
-        .map_err(|e| e.to_string())?;
-        let b = liquid_simd::build_liquid(w).map_err(|e| format!("{}: {e}", w.name))?;
-        let mut row = perfhist::WorkloadRow {
-            name: w.name.clone(),
-            baseline_cycles: base.report.cycles,
-            sim_cycles: 0,
-            cycles_by_width: Vec::new(),
-            ledger: None,
-            wall_s: 0.0,
-            cycles_per_sec: 0.0,
-        };
-        for &width in &widths {
-            // The ledger is an observer (never changes cycles), recorded
-            // at the headline width only when `--ledger` asked for it.
-            let record_ledger = want_ledger && width == headline;
-            let t0 = Instant::now();
-            let out = liquid_simd::run(
-                &b.program,
-                MachineConfig::liquid(width)
-                    .with_backend(backend)
-                    .with_ledger(record_ledger),
-            )
-            .map_err(|e| e.to_string())?;
-            if width == headline {
-                row.wall_s = t0.elapsed().as_secs_f64();
-                row.sim_cycles = out.report.cycles;
-                row.cycles_per_sec = out.report.cycles as f64 / row.wall_s.max(1e-9);
-                for (name, v) in out.report.counters() {
-                    *counters.entry(name).or_insert(0) += v;
-                }
-            }
-            if record_ledger {
-                row.ledger = Some(out.report.ledger_snapshot(&w.name, &b.program).json());
-            }
-            row.cycles_by_width.push((width, out.report.cycles));
-        }
-        println!(
-            "{:<14} {:>12} cycles @ {headline} lanes  ({:>9} scalar, {:.2}x)  \
-             {:>8.3} ms  {:>12.0} sim-cycles/s",
-            w.name,
-            row.sim_cycles,
-            row.baseline_cycles,
-            row.baseline_cycles as f64 / row.sim_cycles.max(1) as f64,
-            row.wall_s * 1e3,
-            row.cycles_per_sec
-        );
-        rows.push(row);
-    }
-
-    // A wider machine that loses to a narrower one is surprising enough to
-    // say out loud, not leave buried in the JSON snapshot.
-    let anomalies = width_anomalies(&rows);
-    for a in &anomalies {
-        println!("warning: width anomaly — {a}");
-    }
-    // The snapshot gets the structured form: each inversion re-run at the
-    // two widths with the ledger on, so the entry names where the extra
-    // cycles went instead of just flagging that they exist.
-    let anomaly_entries = width_anomaly_entries(&rows, &workloads, backend)?;
-
-    // The Figure 6 sweep, serial then parallel: wall-clock speedup plus a
-    // byte-identity check on the rendered rows (determinism gate). Per-task
-    // timings go into the report so a disappointing speedup is diagnosable
-    // (the 2024-era anomaly was a speedup of 0.992 with no way to tell
-    // whether scheduling, build memoization, or one slow unit was at
-    // fault).
+    // The Figure 6 sweep on `backend`, serial then parallel: wall-clock
+    // speedup plus an exact per-unit cycle comparison (determinism gate).
+    // Per-task timings go into the report so a disappointing speedup is
+    // diagnosable (the 2024-era anomaly was a speedup of 0.992 with no way
+    // to tell whether scheduling, build memoization, or one slow unit was
+    // at fault).
     let n_units = workloads.len() * (1 + widths.len() * 3);
     let show_progress = args.flag("--progress");
     let progress = |t: &liquid_simd::TaskTiming| {
@@ -1189,20 +1116,77 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             );
         }
     };
-    let t0 = Instant::now();
-    let (serial, _) = experiments::figure6_timed(&workloads, &widths, 1, &progress).map_err(err)?;
-    let serial_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let (parallel, timings) =
-        experiments::figure6_timed(&workloads, &widths, jobs, &progress).map_err(err)?;
-    let parallel_s = t0.elapsed().as_secs_f64();
-    let deterministic = render_rows(&serial) == render_rows(&parallel);
+    let sweep = |jobs| {
+        let t0 = Instant::now();
+        let result =
+            experiments::figure6(&workloads, &widths, backend, want_ledger, jobs, &progress);
+        result.map(|f| (f, t0.elapsed().as_secs_f64())).map_err(err)
+    };
+    let (serial, serial_s) = sweep(1)?;
+
+    // Per-workload measurements from the serial sweep, all deterministic
+    // except wall clock: the scalar baseline (speedup denominator), liquid
+    // cycles at every swept width, the uncontended wall-clock throughput of
+    // the headline run, and that run's counters (and, under `--ledger`, its
+    // ledger snapshot).
+    let mut rows: Vec<perfhist::WorkloadRow> = Vec::new();
+    let mut counters = std::collections::BTreeMap::new();
+    for (wi, f6) in serial.rows.iter().enumerate() {
+        let head = serial.liquid(wi, headline);
+        for (name, v) in &head.counters {
+            *counters.entry(name.clone()).or_insert(0) += v;
+        }
+        let row = perfhist::WorkloadRow {
+            name: f6.benchmark.clone(),
+            baseline_cycles: f6.baseline_cycles,
+            sim_cycles: head.cycles,
+            cycles_by_width: widths
+                .iter()
+                .map(|&w| (w, serial.liquid(wi, w).cycles))
+                .collect(),
+            ledger: head
+                .ledger
+                .as_ref()
+                .map(liquid_simd::ledger::Snapshot::json),
+            wall_s: head.wall_s,
+            cycles_per_sec: head.cycles as f64 / head.wall_s.max(1e-9),
+        };
+        println!(
+            "{:<14} {:>12} cycles @ {headline} lanes  ({:>9} scalar, {:.2}x)  \
+             {:>8.3} ms  {:>12.0} sim-cycles/s",
+            row.name,
+            row.sim_cycles,
+            row.baseline_cycles,
+            row.baseline_cycles as f64 / row.sim_cycles.max(1) as f64,
+            row.wall_s * 1e3,
+            row.cycles_per_sec
+        );
+        rows.push(row);
+    }
+
+    // A wider machine that loses to a narrower one is surprising enough to
+    // say out loud, not leave buried in the JSON snapshot. The snapshot
+    // gets the structured form: each inversion re-run at the two widths
+    // with the ledger on, so the entry names where the extra cycles went.
+    let inversions = width_inversions(rows.iter().map(|r| (&*r.name, &*r.cycles_by_width)));
+    for inv in &inversions {
+        println!("warning: width anomaly — {}", inv.message());
+    }
+    let anomaly_entries = width_anomaly_entries(&inversions, &workloads, backend)?;
+
+    let (parallel, parallel_s) = sweep(jobs)?;
+    let deterministic = serial
+        .units
+        .iter()
+        .map(|u| u.cycles)
+        .eq(parallel.units.iter().map(|u| u.cycles));
+    let timings = parallel.timings;
     let speedup = serial_s / parallel_s.max(1e-9);
     println!(
         "figure6 sweep: serial {serial_s:.3}s, parallel ({jobs} jobs) {parallel_s:.3}s, \
          {speedup:.2}x, {}",
         if deterministic {
-            "byte-identical"
+            "cycle-identical"
         } else {
             "NONDETERMINISTIC"
         }
@@ -1320,7 +1304,7 @@ fn record_meta(
     smoke: bool,
     widths: &[usize],
     headline: usize,
-    backend: liquid_simd::BackendKind,
+    backend: BackendKind,
 ) -> perfhist::RecordMeta {
     perfhist::RecordMeta {
         commit: perfhist::record::git_commit(std::path::Path::new(".")),
@@ -1496,11 +1480,7 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
     } else {
         experiments::paper_widths()
     };
-    let headline = if widths.contains(&8) {
-        8
-    } else {
-        *widths.last().unwrap()
-    };
+    let headline = experiments::headline_width(&widths).expect("a non-empty width sweep");
     let out_path = args.value_or("--out", "BENCH_sim.json");
     let variants = gen_variants(smoke)?;
     let t0 = Instant::now();
@@ -1511,7 +1491,7 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
         aborts: std::collections::BTreeMap<String, u64>,
     }
     let mut fams: std::collections::BTreeMap<String, FamAcc> = std::collections::BTreeMap::new();
-    let mut rows: Vec<perfhist::WorkloadRow> = Vec::new();
+    let mut rows: Vec<(&str, Vec<(usize, u64)>)> = Vec::new();
     for v in &variants {
         let acc = fams.entry(v.family.clone()).or_insert_with(|| FamAcc {
             variants: 0,
@@ -1539,34 +1519,27 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
                 (program, 0)
             }
         };
-        let mut row = perfhist::WorkloadRow {
-            name: v.name.clone(),
-            baseline_cycles,
-            sim_cycles: 0,
-            cycles_by_width: Vec::new(),
-            ledger: None,
-            wall_s: 0.0,
-            cycles_per_sec: 0.0,
-        };
+        let mut by_width = Vec::new();
         for &width in &widths {
             let out =
                 liquid_simd::run(&program, MachineConfig::liquid(width).with_backend(backend))
                     .map_err(|e| format!("{}@{width}: {e}", v.name))?;
-            if width == headline {
-                row.sim_cycles = out.report.cycles;
-            }
-            row.cycles_by_width.push((width, out.report.cycles));
+            by_width.push((width, out.report.cycles));
             for (tag, &n) in &out.report.translator.aborts {
                 *acc.aborts.entry((*tag).to_string()).or_insert(0) += n;
             }
         }
         if baseline_cycles > 0 {
+            let sim_cycles = by_width
+                .iter()
+                .find(|&&(w, _)| w == headline)
+                .map_or(0, |&(_, c)| c);
             acc.speedups
-                .push(baseline_cycles as f64 / row.sim_cycles.max(1) as f64);
+                .push(baseline_cycles as f64 / sim_cycles.max(1) as f64);
             // Width anomalies only make sense where widths change the
             // cycle count; always-aborting variants run scalar at every
             // width.
-            rows.push(row);
+            rows.push((&v.name, by_width));
         }
     }
 
@@ -1599,7 +1572,10 @@ fn cmd_bench_families(args: &Args) -> Result<(), String> {
             if aborts.is_empty() { "-" } else { &aborts }
         );
     }
-    let anomalies = width_anomalies(&rows);
+    let anomalies: Vec<String> = width_inversions(rows.iter().map(|(n, c)| (*n, &c[..])))
+        .iter()
+        .map(Inversion::message)
+        .collect();
     for a in &anomalies {
         println!("warning: width anomaly — {a}");
     }
@@ -2455,29 +2431,14 @@ mod tests {
 
     #[test]
     fn width_anomaly_detection_flags_slower_wider_widths() {
-        let row = |name: &str, by_width: &[(usize, u64)]| perfhist::WorkloadRow {
-            name: name.to_string(),
-            baseline_cycles: 1_000,
-            sim_cycles: by_width.last().map_or(0, |&(_, c)| c),
-            cycles_by_width: by_width.to_vec(),
-            wall_s: 0.0,
-            cycles_per_sec: 0.0,
-            ledger: None,
-        };
         // The motivating case: 179.art costs more cycles at width 16 than 8.
-        let rows = vec![
-            row(
-                "179.art",
-                &[(2, 3_000_000), (8, 2_380_481), (16, 2_482_896)],
-            ),
-            row("fir", &[(2, 300), (8, 200), (16, 100)]),
-        ];
-        let warnings = width_anomalies(&rows);
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("179.art"));
-        assert!(warnings[0].contains("width 16"));
-        assert!(warnings[0].contains("2482896"));
-        assert!(width_anomalies(&[]).is_empty());
+        let art: &[(usize, u64)] = &[(2, 3_000_000), (8, 2_380_481), (16, 2_482_896)];
+        let fir: &[(usize, u64)] = &[(2, 300), (8, 200), (16, 100)];
+        let inversions = width_inversions([("179.art", art), ("fir", fir)]);
+        let messages: Vec<String> = inversions.iter().map(Inversion::message).collect();
+        let want = "179.art: width 16 took 2482896 cycles, more than width 8's 2380481";
+        assert_eq!(messages, [want]);
+        assert!(width_inversions([]).is_empty());
     }
 
     #[test]

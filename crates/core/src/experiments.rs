@@ -10,10 +10,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::Instant;
 
 use liquid_simd_compiler::Workload;
 use liquid_simd_isa::SUPPORTED_WIDTHS;
-use liquid_simd_sim::MachineConfig;
+use liquid_simd_sim::{BackendKind, LedgerSnapshot, MachineConfig};
 
 use crate::harness::{run_tasks, run_tasks_timed, BuildCache, TaskTiming};
 use crate::VerifyError;
@@ -156,11 +157,68 @@ pub struct Figure6Row {
     pub native: BTreeMap<usize, f64>,
 }
 
-/// Runs the Figure 6 sweep, decomposed into `(workload, width, mode)`
-/// simulation units and fanned over `jobs` worker threads. This is the
-/// heaviest sweep in the repo — `1 + 3 * widths.len()` simulations per
-/// workload — and every unit is independent, so it scales until cores
-/// run out.
+/// One simulation unit of the Figure 6 sweep.
+#[derive(Clone, Debug)]
+pub struct Figure6Unit {
+    /// Simulated cycles.
+    pub cycles: u64,
+    /// The run's [`RunReport::counters`](liquid_simd_sim::RunReport::counters),
+    /// whose `backend.*` keys name the backend that ran it.
+    pub counters: BTreeMap<String, u64>,
+    /// Wall seconds of the unit's simulation (both passes of a
+    /// pretranslated unit); builds are compiled outside it.
+    pub wall_s: f64,
+    /// The labelled ledger snapshot: recorded on the headline liquid run
+    /// only, and only when the sweep asks for it.
+    pub ledger: Option<LedgerSnapshot>,
+}
+
+/// The Figure 6 sweep's result.
+#[derive(Clone, Debug)]
+pub struct Figure6 {
+    /// One row per workload.
+    pub rows: Vec<Figure6Row>,
+    /// Every simulation unit in task order: per workload, the baseline,
+    /// then (liquid, pretranslated, native) per width.
+    pub units: Vec<Figure6Unit>,
+    /// Per-unit scheduling and wall time, parallel to `units`.
+    pub timings: Vec<TaskTiming>,
+    widths: Vec<usize>,
+}
+
+impl Figure6 {
+    /// The liquid unit of workload `workload` at `width`.
+    ///
+    /// # Panics
+    ///
+    /// If `width` was not swept.
+    #[must_use]
+    pub fn liquid(&self, workload: usize, width: usize) -> &Figure6Unit {
+        let k = self.widths.iter().position(|&w| w == width);
+        let k = k.expect("width not in the sweep");
+        &self.units[workload * (1 + 3 * self.widths.len()) + 1 + 3 * k]
+    }
+}
+
+/// The width a sweep reports as its headline: the paper's 8-lane
+/// configuration when swept, else the widest width (`None` when empty).
+#[must_use]
+pub fn headline_width(widths: &[usize]) -> Option<usize> {
+    if widths.contains(&8) {
+        Some(8)
+    } else {
+        widths.last().copied()
+    }
+}
+
+/// Runs the Figure 6 sweep on `backend`, decomposed into `(workload,
+/// width, mode)` simulation units and fanned over `jobs` worker threads.
+/// This is the heaviest sweep in the repo — `1 + 3 * widths.len()`
+/// simulations per workload — and every unit is independent, so it scales
+/// until cores run out. With `ledger`, the headline liquid run of each
+/// workload (see [`headline_width`]) records its cycle ledger. `progress`
+/// streams each completed unit from its worker thread. Timings never feed
+/// back into the cycles, so the sweep is identical at any `jobs`.
 ///
 /// # Errors
 ///
@@ -168,54 +226,54 @@ pub struct Figure6Row {
 pub fn figure6(
     workloads: &[Workload],
     widths: &[usize],
-    jobs: usize,
-) -> Result<Vec<Figure6Row>, VerifyError> {
-    figure6_timed(workloads, widths, jobs, &|_| {}).map(|(rows, _)| rows)
-}
-
-/// [`figure6`] plus per-task wall-clock timing: the second element of
-/// the result names, for every simulation unit, which worker ran it and
-/// how long it took. `progress` streams each completed unit from its
-/// worker thread. Timings never feed back into the rows, so the
-/// determinism gate on the rendered output is unaffected.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] if a workload fails to compile or simulate.
-pub fn figure6_timed(
-    workloads: &[Workload],
-    widths: &[usize],
+    backend: BackendKind,
+    ledger: bool,
     jobs: usize,
     progress: &(dyn Fn(&TaskTiming) + Sync),
-) -> Result<(Vec<Figure6Row>, Vec<TaskTiming>), VerifyError> {
+) -> Result<Figure6, VerifyError> {
     let cache = BuildCache::new(workloads, widths);
+    let headline = headline_width(widths);
     // Unit layout per workload: [baseline, then (liquid, pretranslated,
     // native) per width]. Reassembly below depends on this order.
     let per = 1 + widths.len() * 3;
-    let (cycles, timings) = run_tasks_timed(
+    let (units, timings) = run_tasks_timed(
         jobs,
         workloads.len() * per,
-        |i| -> Result<u64, VerifyError> {
+        |i| -> Result<Figure6Unit, VerifyError> {
             let (wi, unit) = (i / per, i % per);
-            if unit == 0 {
-                let plain = cache.plain(wi)?;
-                let out = crate::run(&plain.program, MachineConfig::scalar_only())?;
-                return Ok(out.report.cycles);
-            }
-            let k = unit - 1;
-            let width = widths[k / 3];
-            let out = match k % 3 {
-                0 => crate::run(&cache.liquid(wi)?.program, MachineConfig::liquid(width))?,
-                1 => crate::run_pretranslated(
-                    &cache.liquid(wi)?.program,
-                    MachineConfig::liquid(width),
-                )?,
-                _ => crate::run(
+            // Mode 0 is the baseline, then 1 liquid, 2 pretranslated,
+            // 3 native.
+            let (width, mode) = match unit {
+                0 => (0, 0),
+                _ => (widths[(unit - 1) / 3], (unit - 1) % 3 + 1),
+            };
+            let record_ledger = ledger && mode == 1 && Some(width) == headline;
+            let (program, cfg) = match mode {
+                0 => (&cache.plain(wi)?.program, MachineConfig::scalar_only()),
+                3 => (
                     &cache.native(wi, width)?.program,
                     MachineConfig::native(width),
-                )?,
+                ),
+                _ => (
+                    &cache.liquid(wi)?.program,
+                    MachineConfig::liquid(width).with_ledger(record_ledger),
+                ),
             };
-            Ok(out.report.cycles)
+            let cfg = cfg.with_backend(backend);
+            let t0 = Instant::now();
+            let out = if mode == 2 {
+                crate::run_pretranslated(program, cfg)?
+            } else {
+                crate::run(program, cfg)?
+            };
+            let wall_s = t0.elapsed().as_secs_f64();
+            let name = &cache.workload(wi).name;
+            Ok(Figure6Unit {
+                cycles: out.report.cycles,
+                counters: out.report.counters(),
+                wall_s,
+                ledger: record_ledger.then(|| out.report.ledger_snapshot(name, program)),
+            })
         },
         progress,
     )?;
@@ -224,15 +282,16 @@ pub fn figure6_timed(
         .iter()
         .enumerate()
         .map(|(wi, w)| {
-            let chunk = &cycles[wi * per..(wi + 1) * per];
-            let baseline_cycles = chunk[0];
+            let chunk = &units[wi * per..(wi + 1) * per];
+            let baseline_cycles = chunk[0].cycles;
+            let speedup = |u: &Figure6Unit| baseline_cycles as f64 / u.cycles as f64;
             let mut liquid = BTreeMap::new();
             let mut pretranslated = BTreeMap::new();
             let mut native = BTreeMap::new();
             for (k, &width) in widths.iter().enumerate() {
-                liquid.insert(width, baseline_cycles as f64 / chunk[1 + 3 * k] as f64);
-                pretranslated.insert(width, baseline_cycles as f64 / chunk[2 + 3 * k] as f64);
-                native.insert(width, baseline_cycles as f64 / chunk[3 + 3 * k] as f64);
+                liquid.insert(width, speedup(&chunk[1 + 3 * k]));
+                pretranslated.insert(width, speedup(&chunk[2 + 3 * k]));
+                native.insert(width, speedup(&chunk[3 + 3 * k]));
             }
             Figure6Row {
                 benchmark: w.name.clone(),
@@ -243,7 +302,12 @@ pub fn figure6_timed(
             }
         })
         .collect();
-    Ok((rows, timings))
+    Ok(Figure6 {
+        rows,
+        units,
+        timings,
+        widths: widths.to_vec(),
+    })
 }
 
 impl fmt::Display for Figure6Row {

@@ -3,26 +3,52 @@
 //! must be stable. Scheduling decides only *when* a simulation unit runs,
 //! never *what* it computes — these tests pin that invariant.
 
-use liquid_simd::{experiments, verify_workloads};
+use liquid_simd::{experiments, verify_workloads, BackendKind};
 
 /// Renders rows exactly as the CLI prints them, one per line.
 fn render<T: std::fmt::Display>(rows: &[T]) -> String {
     rows.iter().map(|r| format!("{r}\n")).collect()
 }
 
+/// The Figure 6 sweep of the smoke set at widths 2 and 8.
+fn figure6(backend: BackendKind, jobs: usize) -> experiments::Figure6 {
+    let workloads = liquid_simd_workloads::smoke();
+    experiments::figure6(&workloads, &[2, 8], backend, false, jobs, &|_| {}).expect("figure6")
+}
+
+/// What every run of a sweep must reproduce exactly: its rendered rows and
+/// each unit's cycles.
+fn outcome(f: &experiments::Figure6) -> (String, Vec<u64>) {
+    (render(&f.rows), f.units.iter().map(|u| u.cycles).collect())
+}
+
 #[test]
 fn figure6_is_identical_at_any_job_count_and_stable_across_runs() {
-    let workloads = liquid_simd_workloads::smoke();
-    let widths = [2usize, 8];
-    let serial = render(&experiments::figure6(&workloads, &widths, 1).expect("serial"));
-    assert!(!serial.is_empty());
-    for jobs in [2, 8] {
-        let parallel = render(&experiments::figure6(&workloads, &widths, jobs).expect("parallel"));
+    let serial = outcome(&figure6(BackendKind::Interp, 1));
+    assert!(!serial.0.is_empty());
+    // jobs=8 twice: repeated parallel runs must not drift either.
+    for jobs in [2, 8, 8] {
+        let parallel = outcome(&figure6(BackendKind::Interp, jobs));
         assert_eq!(serial, parallel, "figure6 diverged at jobs={jobs}");
     }
-    // Repeated parallel runs: same bytes again (no run-to-run drift).
-    let again = render(&experiments::figure6(&workloads, &widths, 8).expect("repeat"));
-    assert_eq!(serial, again, "figure6 unstable across repeated runs");
+}
+
+#[test]
+fn figure6_runs_every_unit_on_the_backend_it_names() {
+    let interp = figure6(BackendKind::Interp, 2);
+    let superblock = figure6(BackendKind::Superblock, 2);
+    assert_eq!(outcome(&interp), outcome(&superblock));
+    for (sweep, backend) in [
+        (&interp, BackendKind::Interp),
+        (&superblock, BackendKind::Superblock),
+    ] {
+        let runs = format!("backend.{backend}.runs");
+        let named = sweep.units.iter().all(|u| u.counters.contains_key(&runs));
+        assert!(named, "a unit did not run on {backend}");
+    }
+    let lowered = |u: &experiments::Figure6Unit| u.counters.get("blocks.lowered").copied();
+    let blocks = superblock.units.iter().all(|u| lowered(u) > Some(0));
+    assert!(blocks, "a superblock unit lowered no blocks");
 }
 
 #[test]

@@ -25,14 +25,6 @@ pub struct Variant {
     pub payload: Payload,
 }
 
-impl Variant {
-    /// True for variants that lower to vector IR.
-    #[must_use]
-    pub fn is_kernel(&self) -> bool {
-        matches!(self.payload, Payload::Kernel(_))
-    }
-}
-
 /// Variant naming scheme (also documented in DESIGN.md §15).
 #[must_use]
 pub fn variant_name(family: &str, trip: u32, unroll: u32) -> String {

@@ -169,12 +169,6 @@ impl Ledger {
         self.buckets.values().map(|b| b.cycles).sum()
     }
 
-    /// Sum of all bucket events.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.buckets.values().map(|b| b.events).sum()
-    }
-
     /// Adds every bucket of `other` into `self` (suite-wide aggregation).
     pub fn merge(&mut self, other: &Ledger) {
         for (k, v) in &other.buckets {

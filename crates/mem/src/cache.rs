@@ -150,11 +150,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets counters (residency is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_range(&self, addr: u32) -> (std::ops::Range<usize>, u32) {
         let line = addr / self.config.line_bytes;
         let set = line % self.sets;

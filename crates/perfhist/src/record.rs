@@ -201,77 +201,6 @@ pub fn scrub_wall(record: &mut Json) {
     }
 }
 
-/// Converts a `liquid-simd-bench-v1` snapshot (the legacy overwritten
-/// `BENCH_sim.json`) into one `perfhist-v1` record, so an existing
-/// snapshot can seed a history file. Per-width cycles and the scalar
-/// baseline carry over when the snapshot has them (pre-history snapshots
-/// don't; those fields default to empty/zero).
-///
-/// # Errors
-///
-/// Returns a message when `snapshot` is not a bench-v1 object.
-pub fn from_bench_snapshot(snapshot: &Json, meta: &RecordMeta) -> Result<Json, String> {
-    let schema = snapshot.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "liquid-simd-bench-v1" {
-        return Err(format!("expected liquid-simd-bench-v1, got '{schema}'"));
-    }
-    let rows = snapshot
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .ok_or("bench snapshot has no workloads array")?;
-    let workloads: Vec<WorkloadRow> = rows
-        .iter()
-        .map(|r| WorkloadRow {
-            name: r
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            baseline_cycles: r.get("baseline_cycles").and_then(Json::as_u64).unwrap_or(0),
-            sim_cycles: r.get("sim_cycles").and_then(Json::as_u64).unwrap_or(0),
-            cycles_by_width: r
-                .get("cycles_by_width")
-                .and_then(Json::as_obj)
-                .map(|pairs| {
-                    pairs
-                        .iter()
-                        .filter_map(|(w, v)| Some((w.parse().ok()?, v.as_u64()?)))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            wall_s: r.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0),
-            cycles_per_sec: r
-                .get("sim_cycles_per_sec")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            ledger: r.get("ledger").cloned(),
-        })
-        .collect();
-    let mut meta = meta.clone();
-    meta.smoke = snapshot
-        .get("smoke")
-        .map(|s| *s == Json::Bool(true))
-        .unwrap_or(false);
-    if let Some(widths) = snapshot.get("widths").and_then(Json::as_arr) {
-        meta.widths = widths
-            .iter()
-            .filter_map(|w| w.as_u64().map(|v| v as usize))
-            .collect();
-    }
-    if let Some(backend) = snapshot.get("backend").and_then(Json::as_str) {
-        meta.backend = backend.to_string();
-    }
-    let mut wall = Vec::new();
-    if let Some(sweep) = snapshot.get("figure6_sweep").and_then(Json::as_obj) {
-        for (k, v) in sweep {
-            if let Some(f) = v.as_f64() {
-                wall.push((format!("figure6_{k}"), f));
-            }
-        }
-    }
-    Ok(build(&meta, &workloads, &BTreeMap::new(), &wall))
-}
-
 /// `git rev-parse HEAD` in `dir`, or `"unknown"` when unavailable.
 #[must_use]
 pub fn git_commit(dir: &std::path::Path) -> String {
@@ -456,25 +385,5 @@ mod tests {
         assert_eq!(nearest_rank(&lat, 100.0), 100);
         assert_eq!(nearest_rank::<u64>(&[], 50.0), 0);
         assert_eq!(nearest_rank(&[7u64], 99.0), 7);
-    }
-
-    #[test]
-    fn bench_snapshot_converts() {
-        let snap = Json::parse(
-            r#"{"schema":"liquid-simd-bench-v1","jobs":2,"smoke":true,"widths":[2,8],
-                "workloads":[{"name":"FIR","sim_cycles":123,"wall_s":0.5,"sim_cycles_per_sec":246.0}],
-                "figure6_sweep":{"serial_s":1.0,"parallel_s":0.5,"speedup":2.0,"deterministic":true}}"#,
-        )
-        .unwrap();
-        let rec = from_bench_snapshot(&snap, &meta()).unwrap();
-        assert_eq!(rec.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(rec.get("smoke"), Some(&Json::Bool(true)));
-        let rows = rec.get("workloads").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows[0].get("sim_cycles").and_then(Json::as_u64), Some(123));
-        assert!(rec
-            .get("wall")
-            .and_then(|w| w.get("figure6_serial_s"))
-            .is_some());
-        assert!(from_bench_snapshot(&Json::Null, &meta()).is_err());
     }
 }

@@ -156,6 +156,86 @@ fn row_named<'a>(record: &'a Json, name: &str) -> Option<&'a Json> {
         .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
 }
 
+/// A flat `name → count` list in record order: the unsigned-integer
+/// entries of a JSON object.
+fn counts(obj: Option<&Json>) -> Vec<(String, u64)> {
+    obj.and_then(Json::as_obj)
+        .map(|pairs| {
+            pairs
+                .iter()
+                .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// A record's deterministic cycle counts in record order, keyed by
+/// `(workload, metric)`: `sim_cycles`, `baseline_cycles`, then
+/// `cycles_by_width.<w>` per width.
+fn cycle_counts(record: &Json) -> Vec<((&str, String), u64)> {
+    let mut out = Vec::new();
+    for row in workload_rows(record) {
+        let Some(name) = row.get("name").and_then(Json::as_str) else {
+            continue;
+        };
+        for metric in ["sim_cycles", "baseline_cycles"] {
+            if let Some(v) = row.get(metric).and_then(Json::as_u64) {
+                out.push(((name, metric.to_string()), v));
+            }
+        }
+        for (w, v) in counts(row.get("cycles_by_width")) {
+            out.push(((name, format!("cycles_by_width.{w}")), v));
+        }
+    }
+    out
+}
+
+/// The one exact comparator of two keyed count lists: every key of `a`
+/// must be in `b` with an equal value, and with `both_ways` every key of
+/// `b` must be in `a` too. Yields `(key, a, b)` per mismatch, `None` for
+/// the side that lacks the key.
+fn mismatches<'a, K: PartialEq>(
+    a: &'a [(K, u64)],
+    b: &'a [(K, u64)],
+    both_ways: bool,
+) -> Vec<(&'a K, Option<u64>, Option<u64>)> {
+    let find = |list: &[(K, u64)], key: &K| list.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+    let mut out: Vec<_> = a
+        .iter()
+        .filter(|(k, v)| find(b, k) != Some(*v))
+        .map(|(k, v)| (k, Some(*v), find(b, k)))
+        .collect();
+    if both_ways {
+        let only_b = b.iter().filter(|(k, _)| find(a, k).is_none());
+        out.extend(only_b.map(|(k, v)| (k, None, Some(*v))));
+    }
+    out
+}
+
+fn opt_u64(v: Option<u64>) -> Json {
+    v.map_or(Json::Null, Json::u64)
+}
+
+/// Exact comparison of two records' cycle counts: the drift entries (the
+/// two sides keyed `labels`, `null` where a workload or width is missing)
+/// and the number of workloads both records hold.
+fn cycle_drift(a: &Json, b: &Json, both_ways: bool, labels: [&str; 2]) -> (Vec<Json>, u64) {
+    let drift = mismatches(&cycle_counts(a), &cycle_counts(b), both_ways)
+        .into_iter()
+        .map(|((workload, metric), x, y)| {
+            Json::obj([
+                ("workload", (*workload).into()),
+                ("metric", metric.as_str().into()),
+                (labels[0], opt_u64(x)),
+                (labels[1], opt_u64(y)),
+            ])
+        })
+        .collect();
+    let names = |r| workload_rows(r).into_iter().filter_map(|w| w.get("name"));
+    let checked = names(a).filter(|n| names(b).any(|m| m == *n)).count();
+    (drift, checked as u64)
+}
+
 /// Runs the sentinel over a loaded history (file order: oldest first).
 #[must_use]
 pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
@@ -223,52 +303,9 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
     verdict.set("baseline_window", Json::u64(window.len() as u64));
 
     // --- Exact-match gate on deterministic cycles --------------------------
-    let mut drift: Vec<Json> = Vec::new();
-    let mut checked = 0u64;
-    for row in workload_rows(newest) {
-        let Some(name) = row.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(base_row) = row_named(reference, name) else {
-            continue; // new workload: nothing to gate against
-        };
-        checked += 1;
-        let mut gate = |metric: String, base: Option<u64>, cur: Option<u64>| {
-            if let (Some(b), Some(c)) = (base, cur) {
-                if b != c {
-                    drift.push(Json::obj([
-                        ("workload", name.into()),
-                        ("metric", Json::Str(metric)),
-                        ("baseline", Json::u64(b)),
-                        ("current", Json::u64(c)),
-                    ]));
-                }
-            }
-        };
-        gate(
-            "sim_cycles".to_string(),
-            base_row.get("sim_cycles").and_then(Json::as_u64),
-            row.get("sim_cycles").and_then(Json::as_u64),
-        );
-        gate(
-            "baseline_cycles".to_string(),
-            base_row.get("baseline_cycles").and_then(Json::as_u64),
-            row.get("baseline_cycles").and_then(Json::as_u64),
-        );
-        if let (Some(base_w), Some(cur_w)) = (
-            base_row.get("cycles_by_width").and_then(Json::as_obj),
-            row.get("cycles_by_width").and_then(Json::as_obj),
-        ) {
-            for (width, cur_v) in cur_w {
-                let base_v = base_w.iter().find(|(k, _)| k == width).map(|(_, v)| v);
-                gate(
-                    format!("cycles_by_width.{width}"),
-                    base_v.and_then(Json::as_u64),
-                    cur_v.as_u64(),
-                );
-            }
-        }
-    }
+    // Every count of the baseline must reappear unchanged; a workload or
+    // width new in the newest record has nothing to gate against.
+    let (drift, checked) = cycle_drift(reference, newest, false, ["baseline", "current"]);
 
     // --- Robust wall-clock advisory ---------------------------------------
     let mut warnings: Vec<Json> = Vec::new();
@@ -317,27 +354,21 @@ pub fn check(history: &[Json], opts: &SentinelOptions) -> Verdict {
     }
 
     // --- Counter deltas (informational) ------------------------------------
-    let mut deltas: Vec<Json> = Vec::new();
-    if let (Some(base_c), Some(cur_c)) = (
-        reference.get("counters").and_then(Json::as_obj),
-        newest.get("counters").and_then(Json::as_obj),
-    ) {
-        for (name, cur_v) in cur_c {
-            let base_v = base_c
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| v.as_u64());
-            if let (Some(b), Some(c)) = (base_v, cur_v.as_u64()) {
-                if b != c {
-                    deltas.push(Json::obj([
-                        ("counter", Json::Str(name.clone())),
-                        ("baseline", Json::u64(b)),
-                        ("current", Json::u64(c)),
-                    ]));
-                }
-            }
-        }
-    }
+    // A counter the newest record stopped emitting is a delta to `null`.
+    let (base_c, cur_c) = (
+        counts(reference.get("counters")),
+        counts(newest.get("counters")),
+    );
+    let deltas: Vec<Json> = mismatches(&base_c, &cur_c, false)
+        .into_iter()
+        .map(|(name, b, c)| {
+            Json::obj([
+                ("counter", name.as_str().into()),
+                ("baseline", opt_u64(b)),
+                ("current", opt_u64(c)),
+            ])
+        })
+        .collect();
 
     let (serve_json, serve_failed) = match serve {
         Some((j, f)) => (Some(j), f),
@@ -405,39 +436,8 @@ pub fn cross_check(history: &[Json]) -> Verdict {
         };
     }
 
-    let mut drift: Vec<Json> = Vec::new();
-    let mut checked = 0u64;
-    for row in workload_rows(superblock) {
-        let Some(name) = row.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(base_row) = row_named(interp, name) else {
-            drift.push(Json::obj([
-                ("workload", name.into()),
-                ("metric", "missing-in-interp".into()),
-            ]));
-            continue;
-        };
-        checked += 1;
-        for metric in ["sim_cycles", "baseline_cycles"] {
-            let a = base_row.get(metric).and_then(Json::as_u64);
-            let b = row.get(metric).and_then(Json::as_u64);
-            if a != b {
-                drift.push(Json::obj([
-                    ("workload", name.into()),
-                    ("metric", metric.into()),
-                    ("interp", Json::u64(a.unwrap_or(0))),
-                    ("superblock", Json::u64(b.unwrap_or(0))),
-                ]));
-            }
-        }
-        if base_row.get("cycles_by_width") != row.get("cycles_by_width") {
-            drift.push(Json::obj([
-                ("workload", name.into()),
-                ("metric", "cycles_by_width".into()),
-            ]));
-        }
-    }
+    // Both ways: a workload or width only one backend ran is drift too.
+    let (drift, checked) = cycle_drift(interp, superblock, true, ["interp", "superblock"]);
     // Zero overlapping workloads means nothing was actually gated.
     let failed = !drift.is_empty() || checked == 0;
     verdict.set("status", if failed { "fail" } else { "pass" }.into());
@@ -787,6 +787,74 @@ mod tests {
         let v = cross_check(&h);
         assert!(v.failed);
         assert_eq!(v.json.get("status").and_then(Json::as_str), Some("no-pair"));
+    }
+
+    /// `r` plus a second workload row, `LU`.
+    fn with_lu(mut r: Json) -> Json {
+        let lu = r#"{"name":"LU","baseline_cycles":900,"sim_cycles":300,"cycles_by_width":{"2":500,"8":300}}"#;
+        let mut rows = r.get("workloads").and_then(Json::as_arr).unwrap().to_vec();
+        rows.push(Json::parse(lu).unwrap());
+        r.set("workloads", Json::Arr(rows));
+        r
+    }
+
+    #[test]
+    fn dropped_counter_is_a_delta_to_null() {
+        let mut h = vec![record("a", 250, 100.0), record("b", 250, 100.0)];
+        let counters = Json::parse(r#"{"cycles":250,"mcache.hits":7}"#).unwrap();
+        h[0].set("counters", counters);
+        let v = check(&h, &SentinelOptions::default());
+        assert!(!v.failed, "counter deltas are informational");
+        let want = r#"[{"counter":"mcache.hits","baseline":7,"current":null}]"#;
+        assert_eq!(
+            v.json.get("counter_deltas"),
+            Some(&Json::parse(want).unwrap())
+        );
+    }
+
+    #[test]
+    fn dropped_workload_or_width_fails_the_gate() {
+        let h = vec![with_lu(record("a", 250, 100.0)), record("b", 250, 100.0)];
+        let v = check(&h, &SentinelOptions::default());
+        assert!(v.failed, "a workload the newest record lost must fail");
+        let drift = v.json.get("cycle_drift").and_then(Json::as_arr).unwrap();
+        assert_eq!(drift.len(), 4, "{}", v.json.write());
+        let lost = |d: &Json| d.get("workload") == Some(&"LU".into());
+        assert!(drift
+            .iter()
+            .all(|d| lost(d) && d.get("current") == Some(&Json::Null)));
+
+        let mut newest = record("b", 250, 100.0);
+        let rows = r#"[{"name":"FIR","baseline_cycles":1000,"sim_cycles":250,"cycles_by_width":{"8":250}}]"#;
+        newest.set("workloads", Json::parse(rows).unwrap());
+        let v = check(
+            &[record("a", 250, 100.0), newest],
+            &SentinelOptions::default(),
+        );
+        assert!(v.failed, "a width the newest record lost must fail");
+        let want =
+            r#"[{"workload":"FIR","metric":"cycles_by_width.2","baseline":600,"current":null}]"#;
+        assert_eq!(v.json.get("cycle_drift"), Some(&Json::parse(want).unwrap()));
+    }
+
+    #[test]
+    fn cross_check_fails_a_workload_only_one_backend_ran() {
+        let (interp, superblock) = (
+            backend_record("c1", "interp", 250),
+            backend_record("c1", "superblock", 250),
+        );
+        for h in [
+            [with_lu(interp.clone()), superblock.clone()],
+            [interp, with_lu(superblock)],
+        ] {
+            let v = cross_check(&h);
+            assert!(v.failed, "{}", v.json.write());
+            assert_eq!(v.json.get("workloads_checked"), Some(&Json::u64(1)));
+            let drift = v.json.get("cycle_drift").and_then(Json::as_arr).unwrap();
+            assert!(drift
+                .iter()
+                .all(|d| d.get("workload") == Some(&"LU".into())));
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use liquid_simd_isa::{object, Inst, Program};
+use liquid_simd_trace::fnv1a;
 
-use crate::fnv1a;
 use crate::ops::OpOutput;
 
 /// A compiled program plus its identity hash (FNV-1a over the object-file
@@ -282,7 +282,7 @@ mod tests {
         let b = cache.inline(src, None).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.name, "<inline>");
-        assert_eq!(a.hash, crate::fnv1a(src.as_bytes()));
+        assert_eq!(a.hash, fnv1a(src.as_bytes()));
     }
 
     #[test]

@@ -51,30 +51,3 @@ pub mod record;
 pub mod server;
 
 pub use server::{spawn, ServeOptions, ServeSummary, ServerHandle};
-
-/// FNV-1a over a byte string — the same hash family
-/// [`MachineConfig::fingerprint`](liquid_simd::MachineConfig::fingerprint)
-/// uses, applied to program bytes, canonical request keys, and response
-/// bodies. Deterministic across hosts and runs, which is what the serve
-/// determinism hashes require.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a_is_stable_and_input_sensitive() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"liquid"), fnv1a(b"liquid"));
-        assert_ne!(fnv1a(b"liquid"), fnv1a(b"liquie"));
-    }
-}

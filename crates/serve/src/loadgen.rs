@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use liquid_simd_perfhist::Json;
+use liquid_simd_trace::fnv1a;
 
-use crate::fnv1a;
 use crate::server::{spawn, ServeOptions, ServeSummary};
 
 /// Load-generator configuration.

@@ -41,10 +41,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use liquid_simd_perfhist::Json;
-use liquid_simd_trace::{FlightEvent, FlightRecorder, FlightStage, Metrics};
+use liquid_simd_trace::{fnv1a, FlightEvent, FlightRecorder, FlightStage, Metrics};
 
 use crate::cache::{BuildCache, CacheEntry, ProgramEntry, TranslationCache};
-use crate::fnv1a;
 use crate::inspect;
 use crate::ops::{self, OpOutput};
 use crate::proto::{self, Op, Request};
@@ -501,16 +500,6 @@ pub fn spawn(opts: ServeOptions) -> Result<ServerHandle, String> {
     let thread_state = Arc::clone(&state);
     let join = std::thread::spawn(move || run_loop(&listener, &thread_state));
     Ok(ServerHandle { addr, join, state })
-}
-
-/// Binds, serves until shutdown, and returns the summary — the blocking
-/// form the CLI `serve` command uses.
-///
-/// # Errors
-///
-/// Returns a message if the address cannot be bound.
-pub fn serve_blocking(opts: ServeOptions) -> Result<ServeSummary, String> {
-    spawn(opts)?.join()
 }
 
 fn run_loop(listener: &TcpListener, state: &Arc<State>) -> ServeSummary {

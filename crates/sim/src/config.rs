@@ -1,7 +1,7 @@
 //! Machine configuration.
 
 use liquid_simd_mem::CacheConfig;
-use liquid_simd_trace::Tracer;
+use liquid_simd_trace::{fnv1a, Tracer};
 
 /// Functional-unit and structural latencies, in cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,13 +274,8 @@ impl MachineConfig {
     /// records keyed by this hash are only ever compared like-for-like.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut bytes = Vec::new();
+        let mut mix = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
         mix(self.lanes as u64);
         for c in [&self.icache, &self.dcache] {
             mix(u64::from(c.size_bytes));
@@ -315,7 +310,7 @@ impl MachineConfig {
         for &at in &self.interrupt_at {
             mix(at);
         }
-        h
+        fnv1a(&bytes)
     }
 }
 
@@ -347,6 +342,16 @@ mod tests {
         let mut d = MachineConfig::liquid(8);
         d.translation.cycles_per_instr = 2;
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_to_the_history_config_hash() {
+        // The `config_hash` of every record in bench/history.jsonl: moving
+        // it would make the whole committed history incomparable.
+        assert_eq!(
+            MachineConfig::liquid(8).fingerprint(),
+            0xfb5b_75e9_0130_0810
+        );
     }
 
     #[test]

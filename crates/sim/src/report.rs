@@ -343,18 +343,6 @@ impl RunReport {
         Some(second - first)
     }
 
-    /// Entry PCs of every distinct call target, in first-call order.
-    #[must_use]
-    pub fn call_targets(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for c in &self.calls {
-            if !out.contains(&c.target) {
-                out.push(c.target);
-            }
-        }
-        out
-    }
-
     /// Fraction of calls to `target` serviced by microcode.
     #[must_use]
     pub fn microcode_fraction(&self, target: u32) -> f64 {
@@ -610,7 +598,6 @@ top:
         };
         assert_eq!(r.first_call_gap(5), Some(350));
         assert_eq!(r.first_call_gap(9), None);
-        assert_eq!(r.call_targets(), vec![5, 9]);
         assert!((r.microcode_fraction(5) - 0.5).abs() < 1e-12);
         assert_eq!(r.microcode_fraction(7), 0.0);
     }

@@ -68,3 +68,29 @@ pub use json::Json;
 pub use metrics::{pow2_bounds, Histogram, Metrics};
 pub use span::{SpanAgg, SpanGuard, SpanId, SpanRecord};
 pub use tracer::{TraceConfig, Tracer, DEFAULT_CAPACITY};
+
+/// FNV-1a over a byte string: the workspace's one stable hash. It keys
+/// `MachineConfig::fingerprint` (the `config_hash` of every history
+/// record) and the serve daemon's program, request and response hashes.
+/// Deterministic across hosts and runs, which both uses require.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_is_stable_and_input_sensitive() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"liquid"), fnv1a(b"liquid"));
+        assert_ne!(fnv1a(b"liquid"), fnv1a(b"liquie"));
+    }
+}
